@@ -9,7 +9,14 @@ on the same word.
 
 import numpy as np
 
-from ordersketch import EventMapKind, OrderSketch, dense_pullback, stream_features
+from ordersketch import (
+    EventMapKind,
+    HashFamilySpec,
+    OrderSketch,
+    dense_pullback,
+    sample_hashes,
+    stream_features,
+)
 from ordersketch.experiments import error_metric, gen_heavy_tail_stream
 from ordersketch.hashing import derive_seed
 
@@ -27,9 +34,8 @@ for buckets in (4, 8, 16, 32, 64):
     for tables in (2, 4):
         errors = []
         for rep in range(5):
-            sk = OrderSketch.from_table_shape(
-                buckets, tables, DEPTH, EventMapKind.EXP, 100, seed=derive_seed(7, rep)
-            )
+            hashes = sample_hashes(HashFamilySpec(100, buckets, derive_seed(7, rep)), tables)
+            sk = OrderSketch(hashes, DEPTH, EventMapKind.EXP, 100)
             sk.extend(stream)
             errors.append(error_metric(exact, dense_pullback(sk)).aggregate)
         coords = sk.coordinate_count()
@@ -39,7 +45,7 @@ for buckets in (4, 8, 16, 32, 64):
         )
 
 print("\nthe estimate never undershoots: min over tables of nonnegative collisions")
-sk = OrderSketch.from_table_shape(16, 4, DEPTH, EventMapKind.EXP, 100, seed=3)
+sk = OrderSketch(sample_hashes(HashFamilySpec(100, 16, 3), 4), DEPTH, EventMapKind.EXP, 100)
 sk.extend(stream)
 worst = min(sk.query((a,)) - exact.coordinate((a,)) for a in range(100))
 print(f"smallest level-1 gap across all letters: {worst:.6f} (>= 0)")

@@ -11,8 +11,8 @@ whole library work.
 from ordersketch import (
     EventMapKind,
     Stream,
-    concat_features,
     stream_features,
+    truncated_product,
     word_from_index,
     word_to_text,
 )
@@ -48,7 +48,7 @@ print("  note: aa now also collects each a event with itself: 2 + 1/2 + 4/2 = 4.
 # Features multiply under concatenation: split anywhere, the pieces compose.
 left = stream.slice(0, 2)
 right = stream.slice(2, 4)
-glued = concat_features(
+glued = truncated_product(
     stream_features(left, EventMapKind.LINEAR, 2),
     stream_features(right, EventMapKind.LINEAR, 2),
 )

@@ -112,7 +112,7 @@ def cmd_build(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     t0 = time.perf_counter()
-    sketch.extend(stream, threads=args.threads)
+    sketch.extend(stream)
     elapsed = time.perf_counter() - t0
     sketch.save(args.snapshot)
     coords = sketch.coordinate_count()
@@ -140,8 +140,15 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _load_snapshot(path: str) -> OrderSketch:
+    try:
+        return OrderSketch.load(path)
+    except OSError as exc:
+        raise DataError(f"cannot read snapshot {path}: {exc}") from exc
+
+
 def cmd_query(args) -> int:
-    sketch = OrderSketch.load(args.snapshot)
+    sketch = _load_snapshot(args.snapshot)
     failed = False
     for text in args.words:
         try:
@@ -230,7 +237,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    sketches = [OrderSketch.load(path) for path in args.snapshots]
+    sketches = [_load_snapshot(path) for path in args.snapshots]
     merged = sketches[0]
     for other in sketches[1:]:
         merged = merged.merge(other)
@@ -278,7 +285,6 @@ def cmd_experiment(args) -> int:
             raise DataError("experiment config must be a JSON object")
     t0 = time.perf_counter()
     if args.name == "table1":
-        overrides.setdefault("threads", args.threads)
         config = _experiment_config(ExperimentOneConfig, overrides, args.seed)
         rows = run_experiment_1(config)
         for row in rows:
@@ -314,7 +320,6 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ordersketch", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_build = sub.add_parser("build", help="sketch a stream file into a snapshot")

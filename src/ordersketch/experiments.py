@@ -23,7 +23,13 @@ from statistics import median
 import numpy as np
 
 from .features import EventMapKind, features_from_arrays
-from .hashing import AffineHash, derive_seed, smallest_prime_geq
+from .hashing import (
+    AffineHash,
+    HashFamilySpec,
+    derive_seed,
+    sample_hashes,
+    smallest_prime_geq,
+)
 from .sketch import OrderSketch, dense_pullback, mine_heavy_patterns
 from .tensor import GradedTensor, Stream, l1_level_norm
 
@@ -256,7 +262,6 @@ class ExperimentOneConfig:
     repetitions: int = 10
     base_seed: int = 0
     include_identity_row: bool = False
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -290,63 +295,37 @@ def run_experiment_1(config: ExperimentOneConfig) -> list:
     pullback_cap = max(2_000_000, 2 * exact.coordinate_count())
     rep_seeds = [derive_seed(config.base_seed, 1 + s) for s in range(config.repetitions)]
 
-    def run_cell(bucket_count: int, hash_count: int) -> ExperimentOneRow:
+    def run_cell(hash_draws: list) -> ExperimentOneRow:
+        # one sketch per draw; all draws share one table shape
         errors, rates = [], []
-        for rep_seed in rep_seeds:
-            sk = OrderSketch.from_table_shape(
-                bucket_count,
-                hash_count,
-                config.depth,
-                config.kind,
-                config.alphabet_size,
-                rep_seed,
-            )
+        for hashes in hash_draws:
+            sk = OrderSketch(hashes, config.depth, config.kind, config.alphabet_size)
             t0 = time.perf_counter()
             sk.extend(stream)
             elapsed = time.perf_counter() - t0
             rates.append(len(stream) / elapsed if elapsed > 0 else math.inf)
-            report = error_metric(exact, dense_pullback(sk, pullback_cap))
+            report = error_metric(exact, dense_pullback(sk, max_coordinates=pullback_cap))
             errors.append(report.aggregate)
         return ExperimentOneRow(
-            bucket_count=bucket_count,
-            hash_count=hash_count,
+            bucket_count=sk.bucket_count,
+            hash_count=sk.hash_count,
             memory_ratio=_memory_ratio(
-                config.alphabet_size, bucket_count, hash_count, config.depth
+                config.alphabet_size, sk.bucket_count, sk.hash_count, config.depth
             ),
             median_error=median(errors),
             events_per_sec=median(rates),
         )
 
-    cells = [(b, r) for b in config.bucket_counts for r in config.hash_counts]
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda cell: run_cell(*cell), cells))
-    else:
-        rows = [run_cell(*cell) for cell in cells]
-
+    rows = [
+        run_cell(
+            [sample_hashes(HashFamilySpec(config.alphabet_size, b, s), r) for s in rep_seeds]
+        )
+        for b in config.bucket_counts
+        for r in config.hash_counts
+    ]
     if config.include_identity_row:
         p = smallest_prime_geq(max(config.alphabet_size, 2))
-        identity = [AffineHash(1, 0, p, config.alphabet_size)]
-        sk = OrderSketch.with_hashes(
-            identity, config.depth, config.kind, config.alphabet_size, seed=0
-        )
-        t0 = time.perf_counter()
-        sk.extend(stream)
-        elapsed = time.perf_counter() - t0
-        report = error_metric(exact, dense_pullback(sk, pullback_cap))
-        rows.append(
-            ExperimentOneRow(
-                bucket_count=config.alphabet_size,
-                hash_count=1,
-                memory_ratio=_memory_ratio(
-                    config.alphabet_size, config.alphabet_size, 1, config.depth
-                ),
-                median_error=report.aggregate,
-                events_per_sec=len(stream) / elapsed if elapsed > 0 else math.inf,
-            )
-        )
+        rows.append(run_cell([[AffineHash(1, 0, p, config.alphabet_size)]]))
     return rows
 
 
@@ -447,24 +426,22 @@ def run_experiment_2(config: ExperimentTwoConfig) -> list:
 
         quorum = len(sketches) / 2
         letters = tuple(sorted(a for a, v in letter_votes.items() if v >= quorum))
-        words = [()]
-        all_words = []
-        for _ in range(config.depth):
-            words = [w + (a,) for w in words for a in letters]
-            all_words.extend(words)
-        features = np.array(
-            [[sk.query(w) for w in all_words] for sk in sketches], dtype=np.float64
-        )
-
-        accuracy_by_depth = {}
-        for m in range(1, config.depth + 1):
-            cols = [j for j, w in enumerate(all_words) if len(w) <= m]
-            if not cols:
-                accuracy_by_depth[m] = 0.5  # no consensus features: chance level
-                continue
-            accuracy_by_depth[m] = _split_accuracies(
-                features[:, cols], labels, config, derive_seed(config.base_seed, 7_000 + qi)
+        # chance level unless there are consensus features
+        accuracy_by_depth = {m: 0.5 for m in range(1, config.depth + 1)}
+        if letters:
+            # columns: the words of length 1, then 2, ..., each level in
+            # lexicographic order over ``letters``
+            features = np.array(
+                [
+                    np.concatenate(dense_pullback(sk, letters, config.candidate_cap).levels[1:])
+                    for sk in sketches
+                ]
             )
+            for m in range(1, config.depth + 1):
+                width = sum(len(letters) ** j for j in range(1, m + 1))
+                accuracy_by_depth[m] = _split_accuracies(
+                    features[:, :width], labels, config, derive_seed(config.base_seed, 7_000 + qi)
+                )
         rows.append(
             ExperimentTwoRow(
                 q=float(q),

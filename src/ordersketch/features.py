@@ -12,23 +12,21 @@ graded tensor by multiplying one small tensor per event:
   divided by the product of ``(run length)!`` over maximal runs of equal
   consecutive indices.
 
-`stream_features` is the reference per-event fold.  `features_from_arrays`
-is a batch builder with a closed-form fast path for depth <= 2 (the shapes
-used by the sketch tables and the experiments); it computes the same values
-up to float addition order.  `brute_force_oracle` evaluates single
-coordinates straight from the definitions above and shares no code with the
-product path, so tests can use it as an independent check.
+`apply_event_inplace` multiplies a tensor by one event's tensor, and
+`stream_features` is the reference per-event fold built on it.
+`features_from_arrays` is a batch builder with a closed-form fast path for
+depth <= 2 (the shapes used by the sketch tables and the experiments); it
+computes the same values up to float addition order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .tensor import Event, GradedTensor, Stream, truncated_product
+from .tensor import Event, GradedTensor, Stream
 
 
 class EventMapKind(str, enum.Enum):
@@ -38,23 +36,6 @@ class EventMapKind(str, enum.Enum):
 
 def _as_kind(kind) -> EventMapKind:
     return EventMapKind(kind)
-
-
-def event_polynomial(event: Event, kind, alphabet_size: int, depth: int) -> GradedTensor:
-    """The single-event tensor: 1 + lam*a (linear) or truncated exp(lam*a)."""
-    kind = _as_kind(kind)
-    lam, letter = float(event[0]), int(event[1])
-    if not 0 <= letter < alphabet_size:
-        raise ValueError(f"letter {letter} outside alphabet of size {alphabet_size}")
-    if lam < 0:
-        raise ValueError("event weight must be nonnegative")
-    out = GradedTensor.unit(alphabet_size, depth)
-    top = depth if kind is EventMapKind.EXP else min(1, depth)
-    for k in range(1, top + 1):
-        # offset of the word letter^k in level k
-        rep = sum(letter * alphabet_size**j for j in range(k))
-        out.levels[k][rep] = lam**k / math.factorial(k)
-    return out
 
 
 def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
@@ -90,11 +71,6 @@ def stream_features(stream: Stream, kind, depth: int) -> GradedTensor:
     for event in stream:
         apply_event_inplace(phi, event, kind)
     return phi
-
-
-def concat_features(x: GradedTensor, y: GradedTensor) -> GradedTensor:
-    """Features of a concatenated stream: the product of the parts' features."""
-    return truncated_product(x, y)
 
 
 _CHUNK = 16384
@@ -141,49 +117,3 @@ def features_from_arrays(
             diag = np.bincount(let, weights=lam * lam * 0.5, minlength=n)
             level2[np.arange(n), np.arange(n)] += diag
     return phi
-
-
-def _runs_factorial(indices) -> int:
-    # product of (run length)! over maximal runs of equal consecutive indices
-    out, run = 1, 1
-    for prev, cur in zip(indices, indices[1:]):
-        if prev == cur:
-            run += 1
-        else:
-            out *= math.factorial(run)
-            run = 1
-    return out * math.factorial(run)
-
-
-def oracle_level(stream: Stream, m: int, kind) -> dict:
-    """All nonzero level-m coordinates by direct tuple enumeration.
-
-    Independent of the product path: iterates index tuples with
-    ``itertools`` and accumulates weight products per spelled word.  Cost is
-    combinatorial in the stream length; intended for small test instances.
-    """
-    kind = _as_kind(kind)
-    if m == 0:
-        return {(): 1.0}
-    lam = stream.lambdas.tolist()
-    let = stream.letters.tolist()
-    acc: dict = {}
-    if kind is EventMapKind.LINEAR:
-        for tup in combinations(range(len(lam)), m):
-            word = tuple(let[i] for i in tup)
-            acc[word] = acc.get(word, 0.0) + math.prod(lam[i] for i in tup)
-    else:
-        for tup in combinations_with_replacement(range(len(lam)), m):
-            word = tuple(let[i] for i in tup)
-            weight = math.prod(lam[i] for i in tup) / _runs_factorial(tup)
-            acc[word] = acc.get(word, 0.0) + weight
-    return acc
-
-
-def brute_force_oracle(stream: Stream, word, kind) -> float:
-    """Single coordinate by direct enumeration (see :func:`oracle_level`)."""
-    word = tuple(int(a) for a in word)
-    for a in word:
-        if not 0 <= a < stream.alphabet_size:
-            raise ValueError(f"letter {a} outside alphabet")
-    return oracle_level(stream, len(word), kind).get(word, 0.0)

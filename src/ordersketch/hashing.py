@@ -130,11 +130,6 @@ def eval_hash_array(h: AffineHash, xs: np.ndarray) -> np.ndarray:
     return np.array([eval_hash(h, int(x)) for x in xs], dtype=np.int64)
 
 
-def hash_word(h: AffineHash, word) -> tuple:
-    """Letterwise image of a word."""
-    return tuple(eval_hash(h, int(a)) for a in word)
-
-
 @dataclass(frozen=True)
 class HashFamilySpec:
     """Domain/range sizes plus the modulus and seed the draws come from."""

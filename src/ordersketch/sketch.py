@@ -15,6 +15,11 @@ only merges mass: each table coordinate dominates the true coordinate, so
 At depth 1 the table update degenerates to ``table[h(a)] += lam`` per event,
 i.e. a classical count-min sketch, bit for bit.
 
+A sketch is built around a list of hashes (``OrderSketch(hashes, ...)``) or
+sized from an accuracy target (`OrderSketch.from_parameters`).  Estimates
+are read one word at a time with `OrderSketch.query`, or for every word
+over a set of letters at once with `dense_pullback`.
+
 `mine_heavy_patterns` runs the one-pass heavy-pattern search: letters whose
 running estimate ever exceeds a threshold ``rho`` are retained, and after
 the pass every word over the retained letters (up to the sketch depth) whose
@@ -24,7 +29,8 @@ sense; false positives are controlled by the tail bound above.
 
 Snapshots serialize the full sketch state to a self-describing, versioned
 JSON document (table payloads as base64 little-endian float64) and round-trip
-bit-exactly.
+bit-exactly.  Tables must stay finite: `extend`, merging and snapshot
+encoding and decoding raise ValueError on a value that overflowed float64.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +51,21 @@ from .hashing import (
     eval_hash_array,
     sample_hashes,
 )
-from .tensor import GradedTensor, Stream, truncated_product, word_index
+from .tensor import GradedTensor, Stream, truncated_product, word_from_index, word_index
 
 SNAPSHOT_FORMAT = "order-sketch-snapshot"
 SNAPSHOT_VERSION = 1
 
 
 class CandidateCapError(RuntimeError):
-    """Raised when the heavy-pattern candidate set would exceed its cap."""
+    """Raised when a word enumeration would exceed its cap."""
+
+
+def _require_finite(tables: list, *scalars: float) -> None:
+    if not all(map(math.isfinite, scalars)) or not all(
+        np.isfinite(level).all() for table in tables for level in table.levels
+    ):
+        raise ValueError("sketch holds a non-finite value (float64 overflow)")
 
 
 def table_shape_for(epsilon: float, delta: float) -> tuple[int, int]:
@@ -69,18 +81,49 @@ def table_shape_for(epsilon: float, delta: float) -> tuple[int, int]:
 
 @dataclass
 class OrderSketch:
-    """r hashed feature tables plus the hash draws that define them."""
+    """r hashed feature tables plus the hash draws that define them.
 
-    epsilon: float
-    delta: float
+    The constructor takes the hash list directly; all hashes must share
+    (p, n), and every table has ``n`` buckets.  ``epsilon`` and ``delta``
+    default to the guarantee of that table shape, ``2 / n`` and
+    ``2 ** -len(hashes)``, and tables default to unit tensors.
+    :meth:`from_parameters` sizes the tables from an accuracy target instead.
+    """
+
+    hashes: list  # list[AffineHash]
     depth: int
     kind: EventMapKind
     alphabet_size: int
-    seed: int
-    hashes: list = field(default_factory=list)  # list[AffineHash]
-    tables: list = field(default_factory=list)  # list[GradedTensor]
+    seed: int = 0
+    epsilon: float | None = None
+    delta: float | None = None
+    tables: list | None = None  # list[GradedTensor]
     events_seen: int = 0
     stream_l1: float = 0.0
+
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+        if self.alphabet_size < 1:
+            raise ValueError("alphabet_size must be >= 1")
+        if not self.hashes:
+            raise ValueError("need at least one hash")
+        if len({(h.p, h.n) for h in self.hashes}) != 1:
+            raise ValueError("hashes must share p and bucket count")
+        self.depth, self.alphabet_size = int(self.depth), int(self.alphabet_size)
+        self.seed, self.kind = int(self.seed), EventMapKind(self.kind)
+        buckets = self.hashes[0].n
+        if self.epsilon is None:
+            self.epsilon = 2.0 / buckets
+        if self.delta is None:
+            self.delta = 2.0 ** -len(self.hashes)
+        if self.tables is None:
+            self.tables = [GradedTensor.unit(buckets, self.depth) for _ in self.hashes]
+        if len(self.tables) != len(self.hashes):
+            raise ValueError(f"{len(self.tables)} tables for {len(self.hashes)} hashes")
+        if any((t.alphabet_size, t.depth) != (buckets, self.depth) for t in self.tables):
+            raise ValueError(f"tables must have {buckets} buckets and depth {self.depth}")
+        _require_finite(self.tables, self.stream_l1, self.epsilon, self.delta)
 
     @classmethod
     def from_parameters(
@@ -92,79 +135,17 @@ class OrderSketch:
         alphabet_size: int,
         seed: int,
     ) -> OrderSketch:
-        """Size the tables from (epsilon, delta) and draw the hashes."""
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        if alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
+        """Size the tables from (epsilon, delta) and draw the hashes from the seed."""
         buckets, hash_count = table_shape_for(epsilon, delta)
         spec = HashFamilySpec(alphabet_size, buckets, seed)
         return cls(
+            sample_hashes(spec, hash_count),
+            depth,
+            kind,
+            alphabet_size,
+            seed,
             epsilon=float(epsilon),
             delta=float(delta),
-            depth=int(depth),
-            kind=EventMapKind(kind),
-            alphabet_size=int(alphabet_size),
-            seed=int(seed),
-            hashes=sample_hashes(spec, hash_count),
-            tables=[GradedTensor.unit(buckets, depth) for _ in range(hash_count)],
-        )
-
-    @classmethod
-    def from_table_shape(
-        cls,
-        bucket_count: int,
-        hash_count: int,
-        depth: int,
-        kind,
-        alphabet_size: int,
-        seed: int,
-    ) -> OrderSketch:
-        """Construct by explicit table shape (diagnostics and sweeps).
-
-        Stores the equivalent epsilon = 2/bucket_count and delta =
-        2**-hash_count.  Unlike from_parameters, bucket_count = 1 is allowed.
-        """
-        if bucket_count < 1 or hash_count < 1:
-            raise ValueError("bucket_count and hash_count must be >= 1")
-        if depth < 1 or alphabet_size < 1:
-            raise ValueError("depth and alphabet_size must be >= 1")
-        spec = HashFamilySpec(alphabet_size, bucket_count, seed)
-        return cls(
-            epsilon=2.0 / bucket_count,
-            delta=2.0**-hash_count,
-            depth=int(depth),
-            kind=EventMapKind(kind),
-            alphabet_size=int(alphabet_size),
-            seed=int(seed),
-            hashes=sample_hashes(spec, hash_count),
-            tables=[GradedTensor.unit(bucket_count, depth) for _ in range(hash_count)],
-        )
-
-    @classmethod
-    def with_hashes(
-        cls, hashes: list, depth: int, kind, alphabet_size: int, seed: int = 0
-    ) -> OrderSketch:
-        """Construct around externally chosen hash functions.
-
-        All hashes must share (p, n).  Useful for forcing identity hashing
-        (a=1, b=0, n >= alphabet_size) and for sharing draws with a reference
-        implementation.
-        """
-        if not hashes:
-            raise ValueError("need at least one hash")
-        if len({(h.p, h.n) for h in hashes}) != 1:
-            raise ValueError("hashes must share p and bucket count")
-        buckets = hashes[0].n
-        return cls(
-            epsilon=2.0 / buckets,
-            delta=2.0 ** -len(hashes),
-            depth=int(depth),
-            kind=EventMapKind(kind),
-            alphabet_size=int(alphabet_size),
-            seed=int(seed),
-            hashes=list(hashes),
-            tables=[GradedTensor.unit(buckets, depth) for _ in range(len(hashes))],
         )
 
     # -- size accounting ---------------------------------------------------
@@ -195,26 +176,23 @@ class OrderSketch:
         self.events_seen += 1
         self.stream_l1 += float(lam)
 
-    def extend(self, stream: Stream, threads: int = 1) -> None:
+    def extend(self, stream: Stream) -> None:
         """Feed a whole stream; batch path, table results match `update`
-        up to float addition order."""
+        up to float addition order.  Raises ValueError, leaving the sketch
+        unchanged, when the fold overflows float64."""
         if stream.alphabet_size != self.alphabet_size:
             raise ValueError("stream alphabet does not match sketch")
-
-        def build(i: int) -> GradedTensor:
-            hashed = eval_hash_array(self.hashes[i], stream.letters)
+        tables = []
+        for h, table in zip(self.hashes, self.tables):
+            hashed = eval_hash_array(h, stream.letters)
             part = features_from_arrays(
                 stream.lambdas, hashed, self.bucket_count, self.kind, self.depth
             )
-            return truncated_product(self.tables[i], part)
-
-        if threads > 1 and self.hash_count > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                self.tables = list(pool.map(build, range(self.hash_count)))
-        else:
-            self.tables = [build(i) for i in range(self.hash_count)]
+            tables.append(truncated_product(table, part))
+        stream_l1 = self.stream_l1 + stream.total_mass()
+        _require_finite(tables, stream_l1)
+        self.tables, self.stream_l1 = tables, stream_l1
         self.events_seen += len(stream)
-        self.stream_l1 += stream.total_mass()
 
     # -- queries -----------------------------------------------------------
 
@@ -248,43 +226,28 @@ class OrderSketch:
         Tables multiply levelwise; all parameters including the seed must
         coincide so both sketches share hash draws.
         """
-        mine = (
-            self.epsilon,
-            self.delta,
+        def params(s: OrderSketch) -> tuple:
+            return (s.epsilon, s.delta, s.depth, s.kind, s.alphabet_size, s.seed, s.hashes)
+
+        if params(self) != params(other):
+            raise ValueError("cannot merge sketches with different parameters or hashes")
+        return OrderSketch(
+            list(self.hashes),
             self.depth,
             self.kind,
             self.alphabet_size,
             self.seed,
-            tuple(self.hashes),
-        )
-        theirs = (
-            other.epsilon,
-            other.delta,
-            other.depth,
-            other.kind,
-            other.alphabet_size,
-            other.seed,
-            tuple(other.hashes),
-        )
-        if mine != theirs:
-            raise ValueError("cannot merge sketches with different parameters or hashes")
-        out = OrderSketch(
             epsilon=self.epsilon,
             delta=self.delta,
-            depth=self.depth,
-            kind=self.kind,
-            alphabet_size=self.alphabet_size,
-            seed=self.seed,
-            hashes=list(self.hashes),
             tables=[truncated_product(a, b) for a, b in zip(self.tables, other.tables)],
             events_seen=self.events_seen + other.events_seen,
             stream_l1=self.stream_l1 + other.stream_l1,
         )
-        return out
 
     # -- persistence ---------------------------------------------------------
 
     def to_snapshot(self) -> bytes:
+        _require_finite(self.tables, self.stream_l1)
         doc = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
@@ -318,33 +281,42 @@ class OrderSketch:
 
     @classmethod
     def from_snapshot(cls, payload: bytes) -> OrderSketch:
+        """Decode a snapshot.  ValueError when it is foreign, lacks a key,
+        disagrees with itself on table count or shape, or holds a
+        non-finite value."""
         doc = json.loads(payload.decode("ascii"))
-        if doc.get("format") != SNAPSHOT_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a sketch snapshot")
         if doc.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
-        hashes = [AffineHash(h["a"], h["b"], h["p"], h["n"]) for h in doc["hashes"]]
-        buckets = doc["bucket_count"]
-        depth = doc["depth"]
-        tables = []
-        for levels_b64 in doc["tables"]:
-            levels = [
-                np.frombuffer(base64.b64decode(blob), dtype="<f8").astype(np.float64).copy()
-                for blob in levels_b64
-            ]
-            tables.append(GradedTensor(buckets, depth, levels))
-        return cls(
-            epsilon=doc["epsilon"],
-            delta=doc["delta"],
-            depth=depth,
-            kind=EventMapKind(doc["event_map"]),
-            alphabet_size=doc["alphabet_size"],
-            seed=doc["seed"],
-            hashes=hashes,
-            tables=tables,
-            events_seen=doc["events_seen"],
-            stream_l1=doc["stream_l1"],
-        )
+        try:
+            hashes = [AffineHash(h["a"], h["b"], h["p"], h["n"]) for h in doc["hashes"]]
+            if len(hashes) != doc["hash_count"]:
+                raise ValueError(f"snapshot has {len(hashes)} hashes, not {doc['hash_count']}")
+            buckets, depth = int(doc["bucket_count"]), int(doc["depth"])
+            tables = []
+            for levels_b64 in doc["tables"]:
+                levels = [
+                    np.frombuffer(base64.b64decode(blob), dtype="<f8").astype(np.float64)
+                    for blob in levels_b64
+                ]
+                tables.append(GradedTensor(buckets, depth, levels))
+            return cls(
+                hashes,
+                depth,
+                doc["event_map"],
+                int(doc["alphabet_size"]),
+                int(doc["seed"]),
+                epsilon=float(doc["epsilon"]),
+                delta=float(doc["delta"]),
+                tables=tables,
+                events_seen=int(doc["events_seen"]),
+                stream_l1=float(doc["stream_l1"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"snapshot lacks key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed snapshot: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> OrderSketch:
@@ -352,24 +324,34 @@ class OrderSketch:
             return cls.from_snapshot(fh.read())
 
 
-def dense_pullback(sketch: OrderSketch, max_coordinates: int = 2_000_000) -> GradedTensor:
-    """Estimates for every word over the original alphabet, as a tensor.
+def dense_pullback(
+    sketch: OrderSketch, letters=None, max_coordinates: int = 2_000_000
+) -> GradedTensor:
+    """Estimates of every word over ``letters`` (default: the whole alphabet).
 
-    Builds, per level, the hashed offset of each original word and gathers
-    the tablewise minimum.  Refuses alphabets where the dense tensor would
-    exceed ``max_coordinates`` entries.
+    The result is a tensor over ``k = len(letters)`` symbols whose symbol j
+    stands for ``letters[j]``; with the default it is the estimate tensor
+    over the original alphabet.  Builds, per level, the hashed offset of
+    each word and gathers the tablewise minimum, so every coordinate equals
+    :meth:`OrderSketch.query` of its word.  Raises
+    :class:`CandidateCapError` when the words of length 1..depth number
+    more than ``max_coordinates``.
     """
-    n = sketch.alphabet_size
-    total = sum(n**m for m in range(sketch.depth + 1))
+    if letters is None:
+        letters = np.arange(sketch.alphabet_size)
+    letters = np.asarray(letters, dtype=np.int64)
+    k = letters.size
+    if k and (letters.min() < 0 or letters.max() >= sketch.alphabet_size):
+        raise ValueError("letter outside the sketch alphabet")
+    total = sum(k**m for m in range(1, sketch.depth + 1))
     if total > max_coordinates:
         raise CandidateCapError(
-            f"dense pull-back needs {total} coordinates, above the cap of {max_coordinates}"
+            f"{total} words over {k} letters exceed the cap of {max_coordinates}"
         )
-    out = GradedTensor.zero(n, sketch.depth)
-    out.levels[0][0] = 1.0
+    out = GradedTensor.unit(k, sketch.depth)
     buckets = sketch.bucket_count
     for i, (h, table) in enumerate(zip(sketch.hashes, sketch.tables)):
-        letter_map = eval_hash_array(h, np.arange(n))
+        letter_map = eval_hash_array(h, letters)
         offsets = np.zeros(1, dtype=np.int64)
         for m in range(1, sketch.depth + 1):
             offsets = (offsets[:, None] * buckets + letter_map[None, :]).reshape(-1)
@@ -412,13 +394,16 @@ def mine_heavy_patterns(
     in it is tested against each threshold with its current estimate, and
     letters that ever pass stay retained (estimates only grow, so a letter
     hot at its last occurrence is hot at the chunk boundary too).  After the
-    pass, words of length 1..depth over the retained letters are enumerated
-    per threshold; a threshold whose candidate count would exceed
-    ``candidate_cap`` raises :class:`CandidateCapError`.
+    pass, the estimates of the words of length 1..depth over the retained
+    letters are read with :func:`dense_pullback` per threshold; a threshold
+    whose candidate count would exceed ``candidate_cap`` raises
+    :class:`CandidateCapError`.  Thresholds must be finite and positive.
     """
     rhos = [float(r) for r in thresholds]
     if not rhos:
         raise ValueError("need at least one threshold")
+    if not all(math.isfinite(rho) and rho > 0 for rho in rhos):
+        raise ValueError("thresholds must be finite and > 0")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     sketch = OrderSketch.from_parameters(epsilon, delta, depth, kind, stream.alphabet_size, seed)
@@ -438,48 +423,15 @@ def mine_heavy_patterns(
     results = {}
     for rho in rhos:
         letters = tuple(sorted(hot[rho]))
-        k = len(letters)
-        candidates = sum(k**m for m in range(1, depth + 1))
-        if candidates > candidate_cap:
-            raise CandidateCapError(
-                f"threshold {rho}: {candidates} candidate words exceed the cap of"
-                f" {candidate_cap}"
-            )
         kept: dict = {}
-        words = [()]
-        for _ in range(depth):
-            words = [w + (a,) for w in words for a in letters]
-            for w in words:
-                est = sketch.query(w)
-                if est >= rho ** len(w):
-                    kept[w] = est
+        if letters:
+            pulled = dense_pullback(sketch, letters, candidate_cap)
+            for m in range(1, depth + 1):
+                level = pulled.levels[m]
+                for j in np.flatnonzero(level >= rho**m).tolist():
+                    word = word_from_index(m, j, len(letters))
+                    kept[tuple(letters[i] for i in word)] = float(level[j])
         results[rho] = HeavyPatternResult(
             threshold=rho, depth=depth, hot_letters=letters, estimates=kept
         )
     return sketch, results
-
-
-def heavy_hitter_patterns(
-    stream: Stream,
-    rho: float,
-    epsilon: float,
-    delta: float,
-    depth: int,
-    kind,
-    seed: int,
-    candidate_cap: int = 1_000_000,
-    chunk_size: int = 1024,
-) -> HeavyPatternResult:
-    """Single-threshold wrapper around :func:`mine_heavy_patterns`."""
-    _, results = mine_heavy_patterns(
-        stream,
-        [rho],
-        epsilon,
-        delta,
-        depth,
-        kind,
-        seed,
-        candidate_cap=candidate_cap,
-        chunk_size=chunk_size,
-    )
-    return results[float(rho)]

@@ -17,7 +17,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -131,25 +131,18 @@ class Stream:
         )
 
 
-def scale_stream(stream: Stream, c: float) -> Stream:
-    """Multiply every event weight by ``c > 0``."""
-    if not c > 0:
-        raise ValueError("scale factor must be positive")
-    return Stream(stream.lambdas * float(c), stream.letters, stream.alphabet_size)
-
-
 @dataclass
 class GradedTensor:
     """Dense truncated tensor: one coordinate per word of length <= depth."""
 
     alphabet_size: int
     depth: int
-    levels: list = field(default_factory=list)  # list[np.ndarray]
+    levels: list | None = None  # list[np.ndarray]; None means all zeros
 
     def __post_init__(self):
         if self.alphabet_size < 1 or self.depth < 0:
             raise ValueError("need alphabet_size >= 1 and depth >= 0")
-        if not self.levels:
+        if self.levels is None:
             self.levels = [np.zeros(self.alphabet_size**m) for m in range(self.depth + 1)]
         if len(self.levels) != self.depth + 1:
             raise ValueError("levels must have depth + 1 entries")
@@ -210,12 +203,3 @@ def l1_level_norm(x: GradedTensor, m: int) -> float:
     if not 0 <= m <= x.depth:
         raise ValueError(f"level {m} outside 0..{x.depth}")
     return float(np.abs(x.levels[m]).sum())
-
-
-def l1_norm_upto(x: GradedTensor, depth: int | None = None) -> float:
-    """l1 mass of all levels up to ``depth`` (default: the full truncation)."""
-    if depth is None:
-        depth = x.depth
-    if not 0 <= depth <= x.depth:
-        raise ValueError(f"depth {depth} outside 0..{x.depth}")
-    return float(sum(l1_level_norm(x, m) for m in range(depth + 1)))

@@ -22,10 +22,9 @@ from ordersketch import (
     LinearFunctional,
     OrderSketch,
     Stream,
-    heavy_hitter_patterns,
     infiltration_product,
     l1_level_norm,
-    oracle_level,
+    mine_heavy_patterns,
     pairing,
     shuffle_product,
     stream_features,
@@ -36,7 +35,9 @@ from ordersketch.experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from ordersketch.hashing import derive_seed
+from ordersketch.hashing import HashFamilySpec, derive_seed, sample_hashes
+
+from util import oracle_level
 
 from util import (
     PlainCountMin,
@@ -204,8 +205,12 @@ def test_c05_single_table_bias_bound():
         seeds = 2000
         gaps = {w: [] for w in words}
         for seed in range(seeds):
-            sk = OrderSketch.from_table_shape(
-                4, 1, 2, EventMapKind.EXP, 64, seed=derive_seed(9500, seed)
+            sk = OrderSketch(
+                sample_hashes(HashFamilySpec(64, 4, derive_seed(9500, seed)), 1),
+                2,
+                EventMapKind.EXP,
+                64,
+                seed=derive_seed(9500, seed),
             )
             sk.extend(stream)
             for w in words:
@@ -351,9 +356,9 @@ def test_c10_heavy_pattern_completeness_and_false_positives():
             for m in (1, 2):
                 level = oracle_level(s, m, EventMapKind.LINEAR)
                 truth |= {w for w, v in level.items() if v >= rho**m}
-            res = heavy_hitter_patterns(
-                s, rho, eps, delta, 2, EventMapKind.LINEAR, seed=seed
-            )
+            res = mine_heavy_patterns(
+                s, [rho], eps, delta, 2, EventMapKind.LINEAR, seed=seed
+            )[1][rho]
             missing = truth - res.words
             assert not missing, f"stream {seed} missed {missing}"
 
@@ -366,9 +371,9 @@ def test_c10_heavy_pattern_completeness_and_false_positives():
         hits = 0
         seeds = 500
         for seed in range(seeds):
-            res = heavy_hitter_patterns(
-                s, rho, eps, delta, 2, EventMapKind.LINEAR, seed=derive_seed(10_000, seed)
-            )
+            res = mine_heavy_patterns(
+                s, [rho], eps, delta, 2, EventMapKind.LINEAR, seed=derive_seed(10_000, seed)
+            )[1][rho]
             if fp_word in res.words:
                 hits += 1
         sigma = math.sqrt(delta * (1 - delta) / seeds)

@@ -143,6 +143,40 @@ def test_query_bad_words_flag_and_continue(tmp_path):
     assert errors == {"1.2.3", "banana"}
 
 
+def test_build_overflow_is_data_error(tmp_path):
+    path = tmp_path / "big.events"
+    write_stream_file(Stream.from_events([(1e200, 0), (1e200, 1)], 2), path)
+    snap = tmp_path / "big.json"
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(["build", str(path), str(snap), "--depth", "2"])
+    assert code == 2 and out == "" and "data error" in err
+    assert not snap.exists()
+
+
+@pytest.mark.parametrize("command", ["query", "merge"])
+def test_missing_or_unreadable_snapshot_is_data_error(tmp_path, command):
+    # a path that does not exist, and a directory, which exists but cannot be read
+    for snap in (str(tmp_path / "absent.json"), str(tmp_path)):
+        if command == "query":
+            argv = ["query", snap, "1"]
+        else:
+            argv = ["merge", snap, "--out", str(tmp_path / "m.json")]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and "data error" in err
+
+
+def test_query_truncated_snapshot_is_data_error(tmp_path):
+    stream_path, _ = write_random(tmp_path, "s.events", seed=4)
+    snap = tmp_path / "sk.json"
+    assert run_cli(["build", stream_path, str(snap)])[0] == 0
+    doc = json.loads(snap.read_text())
+    assert doc["hash_count"] == 5
+    doc["tables"] = doc["tables"][:1]
+    snap.write_text(json.dumps(doc))
+    code, out, err = run_cli(["query", str(snap), "1"])
+    assert code == 2 and out == "" and "data error" in err
+
+
 def test_build_rejects_bad_epsilon(tmp_path):
     stream_path, _ = write_random(tmp_path, "s.events", seed=3)
     code, out, err = run_cli(
@@ -192,6 +226,13 @@ def test_heavy_candidate_cap_exit_code(tmp_path):
     )
     assert code == 3
     assert "resource guard" in err
+
+
+@pytest.mark.parametrize("rho", ["-1", "0"])
+def test_heavy_rejects_nonpositive_rho(tmp_path, rho):
+    path = heavy_stream_file(tmp_path)
+    code, out, err = run_cli(["heavy", path, "--rho", rho, "--event-map", "linear"])
+    assert code == 1 and out == "" and "usage error" in err
 
 
 def test_heavy_requires_rho(tmp_path):

@@ -11,18 +11,21 @@ from ordersketch import (
     GradedTensor,
     Stream,
     apply_event_inplace,
-    brute_force_oracle,
-    concat_features,
-    event_polynomial,
     features_from_arrays,
     l1_level_norm,
-    oracle_level,
-    scale_stream,
     stream_features,
     truncated_product,
 )
 
-from util import count_subsequences, four_event_stream, random_stream
+from util import (
+    brute_force_oracle,
+    count_subsequences,
+    event_polynomial,
+    four_event_stream,
+    oracle_level,
+    random_stream,
+    scale_stream,
+)
 
 KINDS = [EventMapKind.LINEAR, EventMapKind.EXP]
 
@@ -205,7 +208,7 @@ def test_concat_homomorphism(kind):
         s = random_stream(rng, 3, 14)
         cut = int(rng.integers(0, 15))
         left, right = s.slice(0, cut), s.slice(cut, len(s))
-        joined = concat_features(
+        joined = truncated_product(
             stream_features(left, kind, 3), stream_features(right, kind, 3)
         )
         assert joined.allclose(stream_features(s, kind, 3), rtol=1e-12, atol=1e-12)

@@ -10,10 +10,11 @@ from ordersketch.hashing import (
     derive_seed,
     eval_hash,
     eval_hash_array,
-    hash_word,
     sample_hashes,
     smallest_prime_geq,
 )
+
+from util import hash_word
 
 
 def test_smallest_prime_geq_values():

@@ -1,19 +1,31 @@
+import base64
+import copy
+import json
+import math
+
 import numpy as np
 import pytest
 
 from ordersketch import (
     CandidateCapError,
     EventMapKind,
+    GradedTensor,
     OrderSketch,
     Stream,
     dense_pullback,
-    heavy_hitter_patterns,
     mine_heavy_patterns,
     stream_features,
     table_shape_for,
+    word_from_index,
 )
 from ordersketch.experiments import MarkovExperimentConfig, StreamClass, gen_markov_stream
-from ordersketch.hashing import AffineHash, eval_hash, smallest_prime_geq
+from ordersketch.hashing import (
+    AffineHash,
+    HashFamilySpec,
+    eval_hash,
+    sample_hashes,
+    smallest_prime_geq,
+)
 
 from util import PlainCountMin, random_stream
 
@@ -48,9 +60,22 @@ def test_with_hashes_validation():
     h1 = AffineHash(a=1, b=0, p=11, n=4)
     h2 = AffineHash(a=2, b=1, p=11, n=8)
     with pytest.raises(ValueError):
-        OrderSketch.with_hashes([], 2, EventMapKind.EXP, 10)
+        OrderSketch([], 2, EventMapKind.EXP, 10)
     with pytest.raises(ValueError):
-        OrderSketch.with_hashes([h1, h2], 2, EventMapKind.EXP, 10)
+        OrderSketch([h1, h2], 2, EventMapKind.EXP, 10)
+
+
+def test_constructor_defaults_follow_table_shape():
+    hashes = sample_hashes(HashFamilySpec(10, 8, 3), 4)
+    sk = OrderSketch(hashes, 2, "exp", 10, seed=3)
+    assert (sk.bucket_count, sk.hash_count) == (8, 4)
+    assert (sk.epsilon, sk.delta) == (2.0 / 8, 2.0**-4)
+    assert sk.kind is EventMapKind.EXP
+    assert all(t.allclose(GradedTensor.unit(8, 2), rtol=0) for t in sk.tables)
+    with pytest.raises(ValueError):
+        OrderSketch(hashes, 0, EventMapKind.EXP, 10)
+    with pytest.raises(ValueError):
+        OrderSketch(hashes, 2, EventMapKind.EXP, 10, tables=[GradedTensor.unit(8, 2)])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -95,7 +120,7 @@ def test_injective_hash_is_exact(kind):
     # exact features up to a permutation of letters.
     n = 13
     p = smallest_prime_geq(n)
-    sk = OrderSketch.from_table_shape(p, 2, 2, kind, n, seed=9)
+    sk = OrderSketch(sample_hashes(HashFamilySpec(n, p, 9), 2), 2, kind, n, seed=9)
     rng = np.random.Generator(np.random.PCG64(4))
     s = random_stream(rng, n, 50)
     for ev in s:
@@ -151,18 +176,6 @@ def test_extend_depth_three_falls_back(kind):
         assert ta.allclose(tb, rtol=1e-12, atol=1e-9)
 
 
-def test_extend_threaded_matches_serial():
-    rng = np.random.Generator(np.random.PCG64(7))
-    s = random_stream(rng, 64, 2000)
-    a = OrderSketch.from_parameters(0.125, 0.05, 2, EventMapKind.EXP, 64, seed=3)
-    b = OrderSketch.from_parameters(0.125, 0.05, 2, EventMapKind.EXP, 64, seed=3)
-    a.extend(s)
-    b.extend(s, threads=4)
-    for ta, tb in zip(a.tables, b.tables):
-        for m in range(3):
-            assert np.array_equal(ta.levels[m], tb.levels[m])
-
-
 def test_depth_one_is_classical_count_min():
     # At depth 1 the per-event path must be bit for bit the textbook
     # count-min sketch with the same hash functions.
@@ -177,6 +190,26 @@ def test_depth_one_is_classical_count_min():
             ref.update(lam, letter)
         for a in range(n):
             assert sk.query((a,)) == ref.query(a)
+
+
+def test_extend_overflow_raises_and_keeps_sketch():
+    sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.EXP, 3, seed=0)
+    sk.extend(Stream.from_events([(1.0, 0), (2.0, 1)], 3))
+    before = [t.copy() for t in sk.tables]
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
+        sk.extend(Stream.from_events([(1e200, 1), (1e200, 2)], 3))
+    assert (sk.events_seen, sk.stream_l1) == (2, 3.0)
+    for t, b in zip(sk.tables, before):
+        assert t.allclose(b, rtol=0)
+
+
+def test_snapshot_refuses_non_finite_tables():
+    sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.LINEAR, 3, seed=0)
+    sk.update(1e200, 0)
+    with pytest.warns(RuntimeWarning):
+        sk.update(1e200, 1)
+    with pytest.raises(ValueError, match="finite"):
+        sk.to_snapshot()
 
 
 # -- merge ----------------------------------------------------------------------
@@ -204,7 +237,7 @@ def test_merge_not_commutative_in_general():
     # Concatenation order matters beyond level 1.
     s1 = Stream.from_events([(1.0, 0)], 4)
     s2 = Stream.from_events([(1.0, 1)], 4)
-    mk = lambda: OrderSketch.from_table_shape(5, 1, 2, EventMapKind.LINEAR, 4, seed=0)
+    mk = lambda: OrderSketch(sample_hashes(HashFamilySpec(4, 5, 0), 1), 2, EventMapKind.LINEAR, 4)
     a, b = mk(), mk()
     a.extend(s1)
     b.extend(s2)
@@ -291,6 +324,88 @@ def test_snapshot_query_survives_round_trip():
         assert back.query(w) == sk.query(w)
 
 
+def snapshot_doc() -> dict:
+    """A decoded snapshot of a sketch with five tables of depth 2."""
+    sk = OrderSketch.from_parameters(0.5, 0.05, 2, EventMapKind.EXP, 6, seed=1)
+    sk.extend(Stream.from_events([(1.0, 0), (2.0, 3), (0.5, 5)], 6))
+    doc = json.loads(sk.to_snapshot())
+    assert doc["hash_count"] == 5 and doc["bucket_count"] == 4
+    return doc
+
+
+def load_doc(doc: dict) -> OrderSketch:
+    return OrderSketch.from_snapshot(json.dumps(doc).encode())
+
+
+def f8_blob(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "alphabet_size",
+        "bucket_count",
+        "delta",
+        "depth",
+        "epsilon",
+        "event_map",
+        "events_seen",
+        "hash_count",
+        "hashes",
+        "seed",
+        "stream_l1",
+        "tables",
+    ],
+)
+def test_snapshot_missing_key_is_value_error(key):
+    doc = snapshot_doc()
+    del doc[key]
+    with pytest.raises(ValueError, match=key):
+        load_doc(doc)
+
+
+def test_snapshot_table_count_must_agree():
+    doc = snapshot_doc()
+    load_doc(doc)
+    for bad in (
+        dict(doc, tables=doc["tables"][:1]),
+        dict(doc, hashes=doc["hashes"][:4]),
+        dict(doc, hash_count=4),
+    ):
+        with pytest.raises(ValueError):
+            load_doc(bad)
+
+
+def test_snapshot_tables_need_every_level():
+    doc = snapshot_doc()
+    for table, levels in ((0, []), (2, doc["tables"][2][:2])):
+        bad = copy.deepcopy(doc)
+        bad["tables"][table] = levels
+        with pytest.raises(ValueError, match="levels"):
+            load_doc(bad)
+
+
+def test_snapshot_level_lengths_must_match_buckets():
+    doc = snapshot_doc()
+    short = copy.deepcopy(doc)
+    short["tables"][1][2] = f8_blob(np.zeros(15))
+    narrow_hashes = dict(doc, hashes=[dict(h, n=3) for h in doc["hashes"]])
+    for bad in (short, narrow_hashes):
+        with pytest.raises(ValueError):
+            load_doc(bad)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_snapshot_non_finite_values_rejected(value):
+    doc = snapshot_doc()
+    in_table = copy.deepcopy(doc)
+    in_table["tables"][3][1] = f8_blob([0.0, value, 1.0, 2.0])
+    for bad in (in_table, dict(doc, stream_l1=value), dict(doc, epsilon=value)):
+        with pytest.raises(ValueError, match="finite"):
+            load_doc(bad)
+
+
 # -- dense pullback ---------------------------------------------------------------
 
 
@@ -306,6 +421,26 @@ def test_dense_pullback_matches_query():
     for _ in range(40):
         w = tuple(int(x) for x in rng.integers(0, 9, 2))
         assert dense.coordinate(w) == sk.query(w)
+
+
+def test_dense_pullback_over_letter_subset_matches_query():
+    rng = np.random.Generator(np.random.PCG64(13))
+    s = random_stream(rng, 30, 200)
+    sk = OrderSketch.from_parameters(0.25, 0.1, 3, EventMapKind.LINEAR, 30, seed=2)
+    sk.extend(s)
+    letters = (4, 17, 2)
+    sub = dense_pullback(sk, letters)
+    assert sub.alphabet_size == 3 and sub.levels[0][0] == 1.0
+    for m in range(1, 4):
+        for offset in range(3**m):
+            positions = word_from_index(m, offset, 3)
+            word = tuple(letters[i] for i in positions)
+            assert sub.levels[m][offset] == sk.query(word)
+    with pytest.raises(CandidateCapError):
+        dense_pullback(sk, letters, max_coordinates=3 + 9 + 26)
+    assert dense_pullback(sk, letters, max_coordinates=3 + 9 + 27).depth == 3
+    with pytest.raises(ValueError):
+        dense_pullback(sk, (4, 30))
 
 
 def test_dense_pullback_size_guard():
@@ -326,9 +461,10 @@ def planted_stream():
 
 def test_mining_planted_completeness():
     s = planted_stream()
-    res = heavy_hitter_patterns(
-        s, rho=30.0, epsilon=1 / 8, delta=0.25, depth=2, kind=EventMapKind.LINEAR, seed=0
+    _, results = mine_heavy_patterns(
+        s, [30.0], epsilon=1 / 8, delta=0.25, depth=2, kind=EventMapKind.LINEAR, seed=0
     )
+    res = results[30.0]
     assert set(res.hot_letters) >= {0, 1}
     truth = {(0,), (1,), (0, 0), (0, 1), (1, 1)}
     assert res.words >= truth
@@ -355,24 +491,26 @@ def test_mining_thresholds_nest():
 
 def test_mining_above_total_mass_is_empty():
     s = planted_stream()
-    res = heavy_hitter_patterns(
+    rho = s.total_mass() + 1
+    _, results = mine_heavy_patterns(
         s,
-        rho=s.total_mass() + 1,
+        [rho],
         epsilon=1 / 8,
         delta=0.25,
         depth=2,
         kind=EventMapKind.LINEAR,
         seed=2,
     )
+    res = results[rho]
     assert res.hot_letters == () and res.words == set()
 
 
 def test_mining_candidate_cap():
     s = planted_stream()
     with pytest.raises(CandidateCapError, match="cap"):
-        heavy_hitter_patterns(
+        mine_heavy_patterns(
             s,
-            rho=30.0,
+            [30.0],
             epsilon=1 / 8,
             delta=0.25,
             depth=2,
@@ -386,12 +524,13 @@ def test_mining_coarser_chunks_retain_superset():
     # Chunk ends only delay the threshold test, and estimates only grow, so
     # nested coarser chunking can only add letters (and therefore words).
     s = planted_stream()
-    fine = heavy_hitter_patterns(
-        s, 30.0, 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=3, chunk_size=5
+    _, fine = mine_heavy_patterns(
+        s, [30.0], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=3, chunk_size=5
     )
-    coarse = heavy_hitter_patterns(
-        s, 30.0, 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=3, chunk_size=20
+    _, coarse = mine_heavy_patterns(
+        s, [30.0], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=3, chunk_size=20
     )
+    fine, coarse = fine[30.0], coarse[30.0]
     assert set(fine.hot_letters) <= set(coarse.hot_letters)
     assert fine.words <= coarse.words
 
@@ -404,6 +543,13 @@ def test_mining_rejects_bad_arguments():
         mine_heavy_patterns(s, [10.0], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0, chunk_size=0)
 
 
+@pytest.mark.parametrize("rho", [-1.0, 0.0, math.inf, math.nan])
+def test_mining_rejects_nonpositive_or_nonfinite_threshold(rho):
+    s = planted_stream()
+    with pytest.raises(ValueError, match="threshold"):
+        mine_heavy_patterns(s, [30.0, rho], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0)
+
+
 def test_mining_two_phase_markov_stream():
     cfg = MarkovExperimentConfig(
         alphabet_size=1000,
@@ -414,9 +560,10 @@ def test_mining_two_phase_markov_stream():
         seed=17,
     )
     s = gen_markov_stream(cfg)
-    res = heavy_hitter_patterns(
-        s, rho=250.0, epsilon=1 / 32, delta=0.1, depth=2, kind=EventMapKind.EXP, seed=5
+    _, results = mine_heavy_patterns(
+        s, [250.0], epsilon=1 / 32, delta=0.1, depth=2, kind=EventMapKind.EXP, seed=5
     )
+    res = results[250.0]
     assert set(res.hot_letters) >= {1, 2}
     assert res.words >= {(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)}
     # background letters are far below threshold; the hot set stays tiny

@@ -7,8 +7,6 @@ from ordersketch import (
     GradedTensor,
     Stream,
     l1_level_norm,
-    l1_norm_upto,
-    scale_stream,
     truncated_product,
     word_from_index,
     word_from_text,
@@ -16,7 +14,7 @@ from ordersketch import (
     word_to_text,
 )
 
-from util import random_stream
+from util import random_stream, scale_stream
 
 
 # -- word indexing -----------------------------------------------------------
@@ -99,6 +97,8 @@ def test_tensor_shape_validation():
     with pytest.raises(ValueError):
         GradedTensor(2, 1, [np.zeros(1)])
     with pytest.raises(ValueError):
+        GradedTensor(2, 1, [])
+    with pytest.raises(ValueError):
         GradedTensor(0, 1)
 
 
@@ -169,12 +169,12 @@ def test_norms():
     assert l1_level_norm(x, 0) == 1.0
     assert l1_level_norm(x, 1) == 3.0
     assert l1_level_norm(x, 2) == 4.0
-    assert l1_norm_upto(x) == 8.0
-    assert l1_norm_upto(x, 1) == 4.0
+    assert sum(l1_level_norm(x, m) for m in range(3)) == 8.0
+    assert sum(l1_level_norm(x, m) for m in range(2)) == 4.0
     with pytest.raises(ValueError):
         l1_level_norm(x, 3)
     with pytest.raises(ValueError):
-        l1_norm_upto(x, 5)
+        l1_level_norm(x, 5)
 
 
 def test_random_stream_helper_sane():

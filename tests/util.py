@@ -4,11 +4,13 @@ an in-process CLI runner."""
 from __future__ import annotations
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ordersketch import Stream
+from ordersketch import EventMapKind, GradedTensor, Stream, eval_hash
 from ordersketch.cli import main as cli_main
 
 
@@ -21,6 +23,81 @@ def random_stream(rng: np.random.Generator, alphabet_size: int, length: int) -> 
     lams = rng.uniform(0.1, 2.0, size=length)
     letters = rng.integers(0, alphabet_size, size=length)
     return Stream(lams, letters, alphabet_size)
+
+
+def scale_stream(stream: Stream, c: float) -> Stream:
+    """Multiply every event weight by ``c > 0``."""
+    if not c > 0:
+        raise ValueError("scale factor must be positive")
+    return Stream(stream.lambdas * float(c), stream.letters, stream.alphabet_size)
+
+
+def hash_word(h, word) -> tuple:
+    """Letterwise image of a word."""
+    return tuple(eval_hash(h, int(a)) for a in word)
+
+
+def event_polynomial(event, kind, alphabet_size: int, depth: int) -> GradedTensor:
+    """The single-event tensor: 1 + lam*a (linear) or truncated exp(lam*a)."""
+    kind = EventMapKind(kind)
+    lam, letter = float(event[0]), int(event[1])
+    if not 0 <= letter < alphabet_size:
+        raise ValueError(f"letter {letter} outside alphabet of size {alphabet_size}")
+    if lam < 0:
+        raise ValueError("event weight must be nonnegative")
+    out = GradedTensor.unit(alphabet_size, depth)
+    top = depth if kind is EventMapKind.EXP else min(1, depth)
+    for k in range(1, top + 1):
+        # offset of the word letter^k in level k
+        rep = sum(letter * alphabet_size**j for j in range(k))
+        out.levels[k][rep] = lam**k / math.factorial(k)
+    return out
+
+
+def _runs_factorial(indices) -> int:
+    # product of (run length)! over maximal runs of equal consecutive indices
+    out, run = 1, 1
+    for prev, cur in zip(indices, indices[1:]):
+        if prev == cur:
+            run += 1
+        else:
+            out *= math.factorial(run)
+            run = 1
+    return out * math.factorial(run)
+
+
+def oracle_level(stream: Stream, m: int, kind) -> dict:
+    """All nonzero level-m coordinates by direct tuple enumeration.
+
+    Independent of the product path: iterates index tuples with
+    ``itertools`` and accumulates weight products per spelled word.  Cost is
+    combinatorial in the stream length; intended for small test instances.
+    """
+    kind = EventMapKind(kind)
+    if m == 0:
+        return {(): 1.0}
+    lam = stream.lambdas.tolist()
+    let = stream.letters.tolist()
+    acc: dict = {}
+    if kind is EventMapKind.LINEAR:
+        for tup in combinations(range(len(lam)), m):
+            word = tuple(let[i] for i in tup)
+            acc[word] = acc.get(word, 0.0) + math.prod(lam[i] for i in tup)
+    else:
+        for tup in combinations_with_replacement(range(len(lam)), m):
+            word = tuple(let[i] for i in tup)
+            weight = math.prod(lam[i] for i in tup) / _runs_factorial(tup)
+            acc[word] = acc.get(word, 0.0) + weight
+    return acc
+
+
+def brute_force_oracle(stream: Stream, word, kind) -> float:
+    """Single coordinate by direct enumeration (see :func:`oracle_level`)."""
+    word = tuple(int(a) for a in word)
+    for a in word:
+        if not 0 <= a < stream.alphabet_size:
+            raise ValueError(f"letter {a} outside alphabet")
+    return oracle_level(stream, len(word), kind).get(word, 0.0)
 
 
 def count_subsequences(letters, pattern) -> int:
