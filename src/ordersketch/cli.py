@@ -25,9 +25,9 @@ from .experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from .features import EventMapKind, stream_features
+from .features import EventMapKind, NonFiniteError, stream_features
 from .sketch import CandidateCapError, OrderSketch, mine_heavy_patterns
-from .tensor import Stream, word_from_index, word_from_text, word_to_text
+from .tensor import Stream, word_from_index, word_from_text, word_index, word_to_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +114,7 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     sketch.extend(stream)
     elapsed = time.perf_counter() - t0
-    sketch.save(args.snapshot)
+    _save_snapshot(sketch, args.snapshot)
     coords = sketch.coordinate_count()
     _emit(
         {
@@ -147,19 +147,36 @@ def _load_snapshot(path: str) -> OrderSketch:
         raise DataError(f"cannot read snapshot {path}: {exc}") from exc
 
 
+def _save_snapshot(sketch: OrderSketch, path: str) -> None:
+    try:
+        sketch.save(path)
+    except OSError as exc:
+        raise DataError(f"cannot write snapshot {path}: {exc}") from exc
+
+
 def cmd_query(args) -> int:
     sketch = _load_snapshot(args.snapshot)
-    failed = False
+    # check every word, read the valid ones in one batch per word length,
+    # then emit the records in input order
+    records, by_length = [], {}
     for text in args.words:
         try:
             word = word_from_text(text)
-            estimate = sketch.query(word)
+            level, _ = word_index(word, sketch.alphabet_size)
+            if level > sketch.depth:
+                raise ValueError(f"word of length {level} exceeds sketch depth {sketch.depth}")
         except ValueError as exc:
-            failed = True
-            _emit({"record": "query_error", "word": text, "error": str(exc)})
+            records.append({"record": "query_error", "word": text, "error": str(exc)})
             continue
-        _emit({"record": "query", "word": word_to_text(word), "estimate": estimate})
-    return EXIT_DATA if failed else EXIT_OK
+        records.append({"record": "query", "word": word_to_text(word)})
+        by_length.setdefault(level, []).append((records[-1], word))
+    for batch in by_length.values():
+        estimates = sketch.query_many(np.array([word for _, word in batch], dtype=np.int64))
+        for (record, _), estimate in zip(batch, estimates.tolist()):
+            record["estimate"] = estimate
+    for record in records:
+        _emit(record)
+    return EXIT_DATA if any(r["record"] == "query_error" for r in records) else EXIT_OK
 
 
 def cmd_heavy(args) -> int:
@@ -176,6 +193,8 @@ def cmd_heavy(args) -> int:
             args.seed,
             candidate_cap=args.candidate_cap,
         )
+    except NonFiniteError:
+        raise  # the stream overflowed the fold: a data error, not a bad flag
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for rho in rhos:
@@ -241,7 +260,7 @@ def cmd_merge(args) -> int:
     merged = sketches[0]
     for other in sketches[1:]:
         merged = merged.merge(other)
-    merged.save(args.out)
+    _save_snapshot(merged, args.out)
     _emit(
         {
             "record": "merge",

@@ -73,56 +73,38 @@ def pairing(ell: LinearFunctional, phi: GradedTensor) -> float:
 
 
 @lru_cache(maxsize=None)
-def _shuffle_words(u: Word, v: Word) -> tuple:
+def _word_product(u: Word, v: Word, overlap: bool) -> tuple:
+    """Shuffle (``overlap=False``) or infiltration product of two words."""
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
+    parts = [(u[0], _word_product(u[1:], v, overlap)), (v[0], _word_product(u, v[1:], overlap))]
+    if overlap and u[0] == v[0]:
+        parts.append((u[0], _word_product(u[1:], v[1:], overlap)))
     acc: dict = {}
-    for w, c in _shuffle_words(u[1:], v):
-        key = (u[0],) + w
-        acc[key] = acc.get(key, 0) + c
-    for w, c in _shuffle_words(u, v[1:]):
-        key = (v[0],) + w
-        acc[key] = acc.get(key, 0) + c
-    return tuple(acc.items())
-
-
-@lru_cache(maxsize=None)
-def _infiltration_words(u: Word, v: Word) -> tuple:
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    acc: dict = {}
-    for w, c in _infiltration_words(u[1:], v):
-        key = (u[0],) + w
-        acc[key] = acc.get(key, 0) + c
-    for w, c in _infiltration_words(u, v[1:]):
-        key = (v[0],) + w
-        acc[key] = acc.get(key, 0) + c
-    if u[0] == v[0]:
-        for w, c in _infiltration_words(u[1:], v[1:]):
-            key = (u[0],) + w
+    for letter, terms in parts:
+        for w, c in terms:
+            key = (letter,) + w
             acc[key] = acc.get(key, 0) + c
     return tuple(acc.items())
 
 
-def _bilinear(x: LinearFunctional, y: LinearFunctional, word_product) -> LinearFunctional:
+def _bilinear(x: LinearFunctional, y: LinearFunctional, overlap: bool) -> LinearFunctional:
     acc: dict = {}
     for u, cu in x.terms.items():
         for v, cv in y.terms.items():
-            for w, k in word_product(u, v):
+            for w, k in _word_product(u, v, overlap):
                 acc[w] = acc.get(w, 0.0) + cu * cv * k
     return LinearFunctional(acc)
 
 
 def shuffle_product(x: LinearFunctional, y: LinearFunctional) -> LinearFunctional:
     """Commutative, associative; integer coefficients on word inputs."""
-    return _bilinear(x, y, _shuffle_words)
+    return _bilinear(x, y, overlap=False)
 
 
 def infiltration_product(x: LinearFunctional, y: LinearFunctional) -> LinearFunctional:
     """Commutative, associative; term lengths range over
     max(|u|,|v|) .. |u|+|v| for word inputs."""
-    return _bilinear(x, y, _infiltration_words)
+    return _bilinear(x, y, overlap=True)

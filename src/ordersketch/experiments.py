@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -189,15 +189,13 @@ def train_linear_classifier(
     labels: np.ndarray,
     l2: float = 1e-3,
     epochs: int = 400,
-    seed: int = 0,
 ) -> LogisticModel:
     """Full-batch gradient descent on the logistic loss.
 
     Features are standardized internally (the returned weights are folded
     back to raw feature space).  Step sizes backtrack whenever a step would
     increase the regularized loss, so the recorded loss history is
-    non-increasing.  The fit is deterministic; ``seed`` is accepted for
-    interface stability but the optimizer draws nothing from it.
+    non-increasing.  The fit is deterministic.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)

@@ -29,6 +29,10 @@ import numpy as np
 from .tensor import Event, GradedTensor, Stream
 
 
+class NonFiniteError(ValueError):
+    """A fold, product or decoded table left the finite float64 range."""
+
+
 class EventMapKind(str, enum.Enum):
     LINEAR = "linear"
     EXP = "exp"
@@ -46,23 +50,27 @@ def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
     ``levels[m][rep_k :: n**k]`` adds onto exactly the words whose last k
     letters equal the event letter.  Work is O(sum_{m<M} n^m) for linear and
     O(M * sum_{m<M} n^m) for exp; no full-size temporary is allocated.
+    A bad letter or weight, or a coefficient ``lam**k / k!`` that overflows
+    float64, raises ValueError before ``phi`` is touched.
     """
     kind = _as_kind(kind)
     lam, letter = float(event[0]), int(event[1])
     n = phi.alphabet_size
     if not 0 <= letter < n:
         raise ValueError(f"letter {letter} outside alphabet of size {n}")
-    if lam < 0:
-        raise ValueError("event weight must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("event weight must be finite and nonnegative")
     if lam == 0.0:
         return
     top_k = phi.depth if kind is EventMapKind.EXP else 1
+    try:
+        coeffs = [lam**k / math.factorial(k) for k in range(top_k + 1)]
+    except OverflowError as exc:
+        raise NonFiniteError(f"event weight {lam!r} overflows float64") from exc
     for m in range(phi.depth, 0, -1):
         for k in range(1, min(m, top_k) + 1):
-            coeff = lam**k / math.factorial(k)
             rep = sum(letter * n**j for j in range(k))
-            step = n**k
-            phi.levels[m][rep::step] += coeff * phi.levels[m - k]
+            phi.levels[m][rep :: n**k] += coeffs[k] * phi.levels[m - k]
 
 
 def stream_features(stream: Stream, kind, depth: int) -> GradedTensor:

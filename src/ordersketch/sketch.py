@@ -17,8 +17,8 @@ i.e. a classical count-min sketch, bit for bit.
 
 A sketch is built around a list of hashes (``OrderSketch(hashes, ...)``) or
 sized from an accuracy target (`OrderSketch.from_parameters`).  Estimates
-are read one word at a time with `OrderSketch.query`, or for every word
-over a set of letters at once with `dense_pullback`.
+are read with `OrderSketch.query_many`, one batch of equal-length words at a
+time; `OrderSketch.query` and `dense_pullback` read through it.
 
 `mine_heavy_patterns` runs the one-pass heavy-pattern search: letters whose
 running estimate ever exceeds a threshold ``rho`` are retained, and after
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import EventMapKind, apply_event_inplace, features_from_arrays
+from .features import EventMapKind, NonFiniteError, apply_event_inplace, features_from_arrays
 from .hashing import (
     PRNG_ID,
     AffineHash,
@@ -51,7 +51,7 @@ from .hashing import (
     eval_hash_array,
     sample_hashes,
 )
-from .tensor import GradedTensor, Stream, truncated_product, word_from_index, word_index
+from .tensor import GradedTensor, Stream, truncated_product, word_from_index
 
 SNAPSHOT_FORMAT = "order-sketch-snapshot"
 SNAPSHOT_VERSION = 1
@@ -65,7 +65,7 @@ def _require_finite(tables: list, *scalars: float) -> None:
     if not all(map(math.isfinite, scalars)) or not all(
         np.isfinite(level).all() for table in tables for level in table.levels
     ):
-        raise ValueError("sketch holds a non-finite value (float64 overflow)")
+        raise NonFiniteError("sketch holds a non-finite value (float64 overflow)")
 
 
 def table_shape_for(epsilon: float, delta: float) -> tuple[int, int]:
@@ -166,11 +166,10 @@ class OrderSketch:
     # -- updates -----------------------------------------------------------
 
     def update(self, lam: float, letter: int) -> None:
-        """Feed one event through every table (reference per-event path)."""
+        """Feed one event through every table (reference per-event path).
+        Bad or overflowing input raises ValueError before a table changes."""
         if not 0 <= letter < self.alphabet_size:
             raise ValueError(f"letter {letter} outside alphabet of size {self.alphabet_size}")
-        if lam < 0:
-            raise ValueError("event weight must be nonnegative")
         for h, table in zip(self.hashes, self.tables):
             apply_event_inplace(table, (lam, eval_hash(h, letter)), self.kind)
         self.events_seen += 1
@@ -197,27 +196,30 @@ class OrderSketch:
     # -- queries -----------------------------------------------------------
 
     def query(self, word) -> float:
-        """Minimum over tables of the hashed-word coordinate.
+        """Estimate of one word, read through :meth:`query_many`; never below
+        the true coordinate of the ingested stream."""
+        return float(self.query_many([word])[0])
 
-        Never below the true coordinate of the ingested stream.  Words longer
-        than the depth are a hard error.
-        """
-        word = tuple(int(a) for a in word)
-        level, _ = word_index(word, self.alphabet_size)
+    def query_many(self, words) -> np.ndarray:
+        """Estimates of the rows of a ``(k, m)`` int array of words: each
+        table hashes the whole array, the hashed rows become offsets into
+        level ``m``, and the minimum over tables is taken.  Raises ValueError
+        on a letter outside the alphabet (checked first) or ``m`` above the
+        depth."""
+        words = np.asarray(words)
+        if words.ndim != 2:
+            raise ValueError(f"words must be a (k, m) array, not shape {words.shape}")
+        bad = words[(words < 0) | (words >= self.alphabet_size)]
+        if bad.size:
+            raise ValueError(f"letter {bad[0]} outside alphabet of size {self.alphabet_size}")
+        k, level = words.shape
         if level > self.depth:
             raise ValueError(f"word of length {level} exceeds sketch depth {self.depth}")
-        best = math.inf
+        powers = self.bucket_count ** np.arange(level - 1, -1, -1)  # big-endian layout
+        best = np.full(k, np.inf)
         for h, table in zip(self.hashes, self.tables):
-            _, offset = word_index([eval_hash(h, a) for a in word], self.bucket_count)
-            best = min(best, float(table.levels[level][offset]))
-        return best
-
-    def letter_estimates(self, letters: np.ndarray) -> np.ndarray:
-        """Vectorized level-1 queries for an array of letter ids."""
-        letters = np.asarray(letters, dtype=np.int64)
-        best = np.full(letters.shape, np.inf)
-        for h, table in zip(self.hashes, self.tables):
-            np.minimum(best, table.levels[1][eval_hash_array(h, letters)], out=best)
+            offsets = eval_hash_array(h, words.reshape(-1)).reshape(k, level) @ powers
+            np.minimum(best, table.levels[level][offsets], out=best)
         return best
 
     def merge(self, other: OrderSketch) -> OrderSketch:
@@ -331,9 +333,9 @@ def dense_pullback(
 
     The result is a tensor over ``k = len(letters)`` symbols whose symbol j
     stands for ``letters[j]``; with the default it is the estimate tensor
-    over the original alphabet.  Builds, per level, the hashed offset of
-    each word and gathers the tablewise minimum, so every coordinate equals
-    :meth:`OrderSketch.query` of its word.  Raises
+    over the original alphabet.  Each level reads its words over ``letters``,
+    in lexicographic order, with one :meth:`OrderSketch.query_many` call, so
+    every coordinate equals :meth:`OrderSketch.query` of its word.  Raises
     :class:`CandidateCapError` when the words of length 1..depth number
     more than ``max_coordinates``.
     """
@@ -349,17 +351,8 @@ def dense_pullback(
             f"{total} words over {k} letters exceed the cap of {max_coordinates}"
         )
     out = GradedTensor.unit(k, sketch.depth)
-    buckets = sketch.bucket_count
-    for i, (h, table) in enumerate(zip(sketch.hashes, sketch.tables)):
-        letter_map = eval_hash_array(h, letters)
-        offsets = np.zeros(1, dtype=np.int64)
-        for m in range(1, sketch.depth + 1):
-            offsets = (offsets[:, None] * buckets + letter_map[None, :]).reshape(-1)
-            gathered = table.levels[m][offsets]
-            if i == 0:
-                out.levels[m][:] = gathered
-            else:
-                np.minimum(out.levels[m], gathered, out=out.levels[m])
+    for m in range(1, sketch.depth + 1):
+        out.levels[m][:] = sketch.query_many(letters[np.indices((k,) * m).reshape(m, -1).T])
     return out
 
 
@@ -412,13 +405,9 @@ def mine_heavy_patterns(
         chunk = stream.slice(start, start + chunk_size)
         sketch.extend(chunk)
         seen = np.unique(chunk.letters)
-        if seen.size == 0:
-            continue
-        estimates = sketch.letter_estimates(seen)
+        estimates = sketch.query_many(seen[:, None])
         for rho in rhos:
-            passing = seen[estimates > rho]
-            if passing.size:
-                hot[rho].update(int(a) for a in passing)
+            hot[rho].update(seen[estimates > rho].tolist())
 
     results = {}
     for rho in rhos:

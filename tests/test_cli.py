@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ordersketch import EventMapKind, OrderSketch, Stream, stream_features
+from ordersketch import EventMapKind, OrderSketch, Stream, word_from_text
 from ordersketch.cli import read_stream_file, write_stream_file
 
 from util import four_event_stream, parse_records, random_stream, run_cli
@@ -151,6 +151,74 @@ def test_build_overflow_is_data_error(tmp_path):
         code, out, err = run_cli(["build", str(path), str(snap), "--depth", "2"])
     assert code == 2 and out == "" and "data error" in err
     assert not snap.exists()
+
+
+def overflow_file(tmp_path) -> str:
+    path = tmp_path / "big.events"
+    write_stream_file(Stream.from_events([(1e200, 0), (1e200, 1)], 2), path)
+    return str(path)
+
+
+def test_build_depth_three_overflow_is_data_error(tmp_path):
+    snap = tmp_path / "big.json"
+    code, out, err = run_cli(["build", overflow_file(tmp_path), str(snap), "--depth", "3"])
+    assert code == 2 and out == "" and "data error" in err
+    assert not snap.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_heavy_overflow_is_data_error(tmp_path, depth):
+    path = overflow_file(tmp_path)
+    code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth])
+    assert code == 2 and out == "" and "data error" in err
+    # a bad flag is still a usage error on the same file
+    code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth, "--epsilon", "3"])
+    assert code == 1 and out == "" and "usage error" in err
+
+
+def test_build_unwritable_snapshot_is_data_error(tmp_path, example_file):
+    # a directory, and a path whose parent does not exist
+    for target in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, out, err = run_cli(["build", example_file, str(target)])
+        assert code == 2 and out == "" and "data error" in err
+
+
+def test_merge_unwritable_out_is_data_error(tmp_path, example_file):
+    snap = str(tmp_path / "ok.json")
+    assert run_cli(["build", example_file, snap])[0] == 0
+    for target in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, out, err = run_cli(["merge", snap, "--out", str(target)])
+        assert code == 2 and out == "" and "data error" in err
+
+
+def test_query_reads_each_length_in_one_batch(tmp_path, monkeypatch):
+    stream_path, _ = write_random(tmp_path, "s.events", seed=6)
+    snap = str(tmp_path / "sk.json")
+    assert run_cli(["build", stream_path, snap])[0] == 0
+    sketch = OrderSketch.load(snap)
+    batches = []
+    query_many = OrderSketch.query_many
+
+    def counting(self, words):
+        batches.append(np.shape(words))
+        return query_many(self, words)
+
+    monkeypatch.setattr(OrderSketch, "query_many", counting)
+    words = ["3", "1.2", "banana", "", "4.5", "30", "7", "1.2.3", "0.0", "29"]
+    code, out, _ = run_cli(["query", snap, *words])
+    assert code == 2
+    assert sorted(batches) == [(1, 0), (3, 1), (3, 2)]  # one batch per word length
+    records = parse_records(out)
+    assert [r["word"] for r in records] == words
+    errors = {"banana", "30", "1.2.3"}
+    assert [r["record"] for r in records] == [
+        "query_error" if w in errors else "query" for w in words
+    ]
+    monkeypatch.undo()
+    for r in records:
+        if r["record"] == "query":
+            assert r["estimate"] == sketch.query(word_from_text(r["word"]))
 
 
 @pytest.mark.parametrize("command", ["query", "merge"])

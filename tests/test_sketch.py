@@ -1,5 +1,6 @@
 import base64
 import copy
+import itertools
 import json
 import math
 
@@ -27,7 +28,7 @@ from ordersketch.hashing import (
     smallest_prime_geq,
 )
 
-from util import PlainCountMin, random_stream
+from util import PlainCountMin, hash_word, random_stream
 
 KINDS = [EventMapKind.LINEAR, EventMapKind.EXP]
 
@@ -139,6 +140,72 @@ def test_query_edge_cases():
         sk.query((10,))
     sk.update(1.0, 3)
     assert sk.query(()) == 1.0
+
+
+def scalar_estimate(sk: OrderSketch, word) -> float:
+    """Reference read of one word: hash each letter, then take the minimum
+    of the table coordinates."""
+    return min(table.coordinate(hash_word(h, word)) for h, table in zip(sk.hashes, sk.tables))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_query_many_matches_scalar_read_on_every_word(kind):
+    rng = np.random.Generator(np.random.PCG64(21))
+    n = 6
+    sk = OrderSketch.from_parameters(0.5, 0.125, 3, kind, n, seed=4)
+    sk.extend(random_stream(rng, n, 80))
+    for m in range(4):
+        words = np.array(list(itertools.product(range(n), repeat=m)), dtype=np.int64)
+        words = words.reshape(n**m, m)
+        want = [scalar_estimate(sk, w) for w in words.tolist()]
+        assert sk.query_many(words).tolist() == want
+        assert [sk.query(w) for w in words.tolist()] == want
+        empty = sk.query_many(np.zeros((0, m), dtype=np.int64))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_query_many_errors_match_query():
+    sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.EXP, 10, seed=0)
+    cases = [
+        ((1, 10), "letter 10 outside alphabet of size 10"),
+        ((-1,), "letter -1 outside alphabet of size 10"),
+        ((1, 2, 3), "word of length 3 exceeds sketch depth 2"),
+        ((1, 2, 10), "letter 10 outside alphabet of size 10"),  # letters are checked first
+    ]
+    for word, message in cases:
+        with pytest.raises(ValueError) as single:
+            sk.query(word)
+        with pytest.raises(ValueError) as batch:
+            sk.query_many(np.array([[0] * len(word), word]))
+        assert str(single.value) == str(batch.value) == message
+    with pytest.raises(ValueError, match="outside alphabet"):
+        sk.query((2**64,))
+    with pytest.raises(ValueError, match="shape"):
+        sk.query_many(np.arange(3))
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_update_rejects_non_finite_weight(lam):
+    sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.LINEAR, 3, seed=0)
+    sk.update(1.0, 0)
+    before = [t.copy() for t in sk.tables]
+    with pytest.raises(ValueError, match="finite"):
+        sk.update(lam, 1)
+    assert (sk.events_seen, sk.stream_l1) == (1, 1.0)
+    for t, b in zip(sk.tables, before):
+        assert t.allclose(b, rtol=0)
+
+
+def test_update_overflow_is_value_error_and_keeps_sketch():
+    # lam**2 / 2 overflows float64 before any table is touched
+    sk = OrderSketch.from_parameters(0.5, 0.25, 3, EventMapKind.EXP, 3, seed=0)
+    sk.update(1.0, 0)
+    before = [t.copy() for t in sk.tables]
+    with pytest.raises(ValueError, match="overflow"):
+        sk.update(1e200, 1)
+    assert (sk.events_seen, sk.stream_l1) == (1, 1.0)
+    for t, b in zip(sk.tables, before):
+        assert t.allclose(b, rtol=0)
 
 
 def test_absent_word_often_zero():
