@@ -11,11 +11,12 @@ import numpy as np
 
 from ordersketch import (
     EventMapKind,
+    GradedTensor,
     HashFamilySpec,
     OrderSketch,
     dense_pullback,
+    features_from_arrays,
     sample_hashes,
-    stream_features,
 )
 from ordersketch.experiments import error_metric, gen_heavy_tail_stream
 from ordersketch.hashing import derive_seed
@@ -24,7 +25,9 @@ DEPTH = 2
 stream = gen_heavy_tail_stream(
     alphabet_size=100, length=50_000, heavy_count=10, heavy_mass=0.1, seed=1
 )
-exact = stream_features(stream, EventMapKind.EXP, DEPTH)
+exact = features_from_arrays(
+    stream.lambdas, stream.letters, GradedTensor.unit(100, DEPTH), EventMapKind.EXP
+)
 exact_coords = sum(100**m for m in range(1, DEPTH + 1))
 
 print(f"stream: {len(stream)} events over 100 letters; exact storage {exact_coords} floats")

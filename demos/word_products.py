@@ -13,15 +13,22 @@ import numpy as np
 
 from ordersketch import (
     EventMapKind,
+    GradedTensor,
     LinearFunctional,
     Stream,
+    features_from_arrays,
     infiltration_product,
     pairing,
     shuffle_product,
-    stream_features,
 )
 
 LETTERS = "ab"
+
+
+def features(stream, kind, depth):
+    """The stream's feature tensor: its events folded onto the unit."""
+    unit = GradedTensor.unit(stream.alphabet_size, depth)
+    return features_from_arrays(stream.lambdas, stream.letters, unit, kind)
 
 
 def pretty(functional):
@@ -43,7 +50,7 @@ print("  (the extra aba and bab terms come from merging the equal letters)\n")
 # Numerical check of the exp/shuffle identity on a weighted stream.
 rng = np.random.Generator(np.random.PCG64(2))
 stream = Stream(rng.uniform(0.2, 1.5, 12), rng.integers(0, 2, 12), 2)
-phi = stream_features(stream, EventMapKind.EXP, 4)
+phi = features(stream, EventMapKind.EXP, 4)
 lhs = pairing(shuffle_product(ab, ba), phi)
 rhs = pairing(ab, phi) * pairing(ba, phi)
 print(f"exp map:    <ab shuffle ba, phi> = {lhs:.10f}")
@@ -51,7 +58,7 @@ print(f"            <ab, phi> * <ba, phi> = {rhs:.10f}")
 
 # The infiltration identity is a counting statement: unit weights.
 unit = Stream(np.ones(12), stream.letters, 2)
-phi1 = stream_features(unit, EventMapKind.LINEAR, 4)
+phi1 = features(unit, EventMapKind.LINEAR, 4)
 lhs1 = pairing(infiltration_product(ab, ba), phi1)
 rhs1 = pairing(ab, phi1) * pairing(ba, phi1)
 print(f"linear map: <ab infil ba, phi>   = {lhs1:.1f}")

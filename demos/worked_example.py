@@ -10,14 +10,21 @@ whole library work.
 
 from ordersketch import (
     EventMapKind,
+    GradedTensor,
     Stream,
-    stream_features,
+    features_from_arrays,
     truncated_product,
     word_from_index,
     word_to_text,
 )
 
 LETTERS = "ab"
+
+
+def features(stream, kind, depth):
+    """The stream's feature tensor: its events folded onto the unit."""
+    unit = GradedTensor.unit(stream.alphabet_size, depth)
+    return features_from_arrays(stream.lambdas, stream.letters, unit, kind)
 
 
 def show(phi, title):
@@ -37,11 +44,11 @@ def show(phi, title):
 stream = Stream.from_events([(1.0, 0), (1.5, 1), (1.0, 1), (2.0, 0)], alphabet_size=2)
 print("events:", [(lam, LETTERS[a]) for lam, a in stream])
 
-linear = stream_features(stream, EventMapKind.LINEAR, 2)
+linear = features(stream, EventMapKind.LINEAR, 2)
 show(linear, "Linear map p = 1 + lambda*a  (each event used at most once)")
 print("  note: the ba coordinate is 1.5*2 + 1*2 = 5 (both b events pair with the final a)")
 
-exp = stream_features(stream, EventMapKind.EXP, 2)
+exp = features(stream, EventMapKind.EXP, 2)
 show(exp, "Exp map p = exp(lambda*a)  (events may repeat, divided by run factorials)")
 print("  note: aa now also collects each a event with itself: 2 + 1/2 + 4/2 = 4.5")
 
@@ -49,11 +56,18 @@ print("  note: aa now also collects each a event with itself: 2 + 1/2 + 4/2 = 4.
 left = stream.slice(0, 2)
 right = stream.slice(2, 4)
 glued = truncated_product(
-    stream_features(left, EventMapKind.LINEAR, 2),
-    stream_features(right, EventMapKind.LINEAR, 2),
+    features(left, EventMapKind.LINEAR, 2),
+    features(right, EventMapKind.LINEAR, 2),
 )
 print("\nconcatenation check: features(left) * features(right) == features(stream)?",
       glued.allclose(linear, rtol=1e-12, atol=1e-12))
+# The same product without building features(right): fold right's events
+# straight onto left's tensor, as a sketch table takes each new chunk.
+folded = features_from_arrays(
+    right.lambdas, right.letters, features(left, EventMapKind.LINEAR, 2), EventMapKind.LINEAR
+)
+print("fold check: right folded onto features(left) == features(stream)?",
+      folded.allclose(linear, rtol=1e-12, atol=1e-12))
 
 # The dot-joined text form used by the command line for the same words:
 print("word text form of (b, a):", word_to_text((1, 0)))

@@ -6,12 +6,7 @@ from .dual import (
     pairing,
     shuffle_product,
 )
-from .features import (
-    EventMapKind,
-    apply_event_inplace,
-    features_from_arrays,
-    stream_features,
-)
+from .features import EventMapKind, features_from_arrays
 from .hashing import (
     AffineHash,
     HashFamilySpec,
@@ -73,7 +68,6 @@ __all__ = [
     "OrderSketch",
     "Stream",
     "StreamClass",
-    "apply_event_inplace",
     "dense_pullback",
     "error_metric",
     "eval_hash",
@@ -90,7 +84,6 @@ __all__ = [
     "sample_hashes",
     "shuffle_product",
     "smallest_prime_geq",
-    "stream_features",
     "table_shape_for",
     "train_linear_classifier",
     "truncated_product",

@@ -25,9 +25,9 @@ from .experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from .features import EventMapKind, NonFiniteError, stream_features
+from .features import EventMapKind, NonFiniteError, features_from_arrays
 from .sketch import CandidateCapError, OrderSketch, mine_heavy_patterns
-from .tensor import Stream, word_from_index, word_from_text, word_index, word_to_text
+from .tensor import GradedTensor, Stream, word_from_index, word_from_text, word_index, word_to_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -220,6 +220,8 @@ def cmd_heavy(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.depth < 0:
+        raise UsageError("depth must be >= 0")
     stream = read_stream_file(args.stream)
     n = stream.alphabet_size
     coords = sum(n**m for m in range(args.depth + 1))
@@ -229,7 +231,10 @@ def cmd_exact(args) -> int:
             f" the cap of {args.max_coordinates}; raise --max-coordinates to override"
         )
         return EXIT_RESOURCE
-    phi = stream_features(stream, args.event_map, args.depth)
+    phi = GradedTensor.unit(n, args.depth)
+    features_from_arrays(stream.lambdas, stream.letters, phi, args.event_map)
+    if not all(np.isfinite(level).all() for level in phi.levels):
+        raise DataError("exact features overflow float64")
     _emit(
         {
             "record": "exact",

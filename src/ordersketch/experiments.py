@@ -288,7 +288,10 @@ def run_experiment_1(config: ExperimentOneConfig) -> list:
         derive_seed(config.base_seed, 0),
     )
     exact = features_from_arrays(
-        stream.lambdas, stream.letters, config.alphabet_size, config.kind, config.depth
+        stream.lambdas,
+        stream.letters,
+        GradedTensor.unit(config.alphabet_size, config.depth),
+        config.kind,
     )
     pullback_cap = max(2_000_000, 2 * exact.coordinate_count())
     rep_seeds = [derive_seed(config.base_seed, 1 + s) for s in range(config.repetitions)]

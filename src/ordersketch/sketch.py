@@ -12,8 +12,11 @@ only merges mass: each table coordinate dominates the true coordinate, so
   truth by more than ``epsilon * (l1 mass of exact level m)`` with
   probability below ``delta``.
 
-At depth 1 the table update degenerates to ``table[h(a)] += lam`` per event,
-i.e. a classical count-min sketch, bit for bit.
+Events reach the tables one way: `OrderSketch.extend` folds the hashed
+stream into a copy of each table with `features_from_arrays`, and
+`OrderSketch.update` is `extend` on a one-event stream.  At depth 1 the fold
+degenerates to ``table[h(a)] += lam`` per event, i.e. a classical count-min
+sketch, bit for bit.
 
 A sketch is built around a list of hashes (``OrderSketch(hashes, ...)``) or
 sized from an accuracy target (`OrderSketch.from_parameters`).  Estimates
@@ -42,12 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import EventMapKind, NonFiniteError, apply_event_inplace, features_from_arrays
+from .features import EventMapKind, NonFiniteError, features_from_arrays
 from .hashing import (
     PRNG_ID,
     AffineHash,
     HashFamilySpec,
-    eval_hash,
     eval_hash_array,
     sample_hashes,
 )
@@ -166,28 +168,21 @@ class OrderSketch:
     # -- updates -----------------------------------------------------------
 
     def update(self, lam: float, letter: int) -> None:
-        """Feed one event through every table (reference per-event path).
-        Bad or overflowing input raises ValueError before a table changes."""
-        if not 0 <= letter < self.alphabet_size:
-            raise ValueError(f"letter {letter} outside alphabet of size {self.alphabet_size}")
-        for h, table in zip(self.hashes, self.tables):
-            apply_event_inplace(table, (lam, eval_hash(h, letter)), self.kind)
-        self.events_seen += 1
-        self.stream_l1 += float(lam)
+        """Feed one event: :meth:`extend` with a one-event stream."""
+        self.extend(Stream.from_events([(lam, letter)], self.alphabet_size))
 
     def extend(self, stream: Stream) -> None:
-        """Feed a whole stream; batch path, table results match `update`
-        up to float addition order.  Raises ValueError, leaving the sketch
-        unchanged, when the fold overflows float64."""
+        """Feed a whole stream: `features_from_arrays` folds the letterwise-
+        hashed stream into a copy of each table.  Raises ValueError, leaving
+        the sketch unchanged, when the fold overflows float64."""
         if stream.alphabet_size != self.alphabet_size:
             raise ValueError("stream alphabet does not match sketch")
-        tables = []
-        for h, table in zip(self.hashes, self.tables):
-            hashed = eval_hash_array(h, stream.letters)
-            part = features_from_arrays(
-                stream.lambdas, hashed, self.bucket_count, self.kind, self.depth
+        tables = [
+            features_from_arrays(
+                stream.lambdas, eval_hash_array(h, stream.letters), table.copy(), self.kind
             )
-            tables.append(truncated_product(table, part))
+            for h, table in zip(self.hashes, self.tables)
+        ]
         stream_l1 = self.stream_l1 + stream.total_mass()
         _require_finite(tables, stream_l1)
         self.tables, self.stream_l1 = tables, stream_l1

@@ -27,7 +27,6 @@ from ordersketch import (
     mine_heavy_patterns,
     pairing,
     shuffle_product,
-    stream_features,
 )
 from ordersketch.experiments import (
     ExperimentOneConfig,
@@ -37,7 +36,7 @@ from ordersketch.experiments import (
 )
 from ordersketch.hashing import HashFamilySpec, derive_seed, sample_hashes
 
-from util import oracle_level
+from util import oracle_level, stream_features
 
 from util import (
     PlainCountMin,

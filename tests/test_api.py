@@ -23,7 +23,6 @@ PUBLIC_NAMES = {
     "OrderSketch",
     "Stream",
     "StreamClass",
-    "apply_event_inplace",
     "dense_pullback",
     "error_metric",
     "eval_hash",
@@ -40,7 +39,6 @@ PUBLIC_NAMES = {
     "sample_hashes",
     "shuffle_product",
     "smallest_prime_geq",
-    "stream_features",
     "table_shape_for",
     "train_linear_classifier",
     "truncated_product",
@@ -52,7 +50,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 39
     assert len(ordersketch.__all__) == len(set(ordersketch.__all__))
     assert set(ordersketch.__all__) == PUBLIC_NAMES
 
@@ -74,3 +72,8 @@ def test_sketch_has_one_sizing_classmethod():
 def test_extend_takes_only_a_stream():
     params = list(inspect.signature(OrderSketch.extend).parameters)
     assert params == ["self", "stream"]
+
+
+def test_features_from_arrays_folds_onto_a_tensor():
+    params = list(inspect.signature(ordersketch.features_from_arrays).parameters)
+    assert params == ["lambdas", "letters", "phi", "kind"]

@@ -159,6 +159,20 @@ def overflow_file(tmp_path) -> str:
     return str(path)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("depth,event_map", [("2", "linear"), ("3", "linear"), ("3", "exp")])
+def test_exact_overflow_is_data_error(tmp_path, depth, event_map):
+    # no coordinate records: a non-finite value is not valid JSON
+    path = overflow_file(tmp_path)
+    code, out, err = run_cli(["exact", path, "--depth", depth, "--event-map", event_map])
+    assert code == 2 and out == "" and "data error" in err
+
+
+def test_exact_negative_depth_is_usage_error(example_file):
+    code, out, err = run_cli(["exact", example_file, "--depth", "-1"])
+    assert code == 1 and out == "" and "usage error" in err
+
+
 def test_build_depth_three_overflow_is_data_error(tmp_path):
     snap = tmp_path / "big.json"
     code, out, err = run_cli(["build", overflow_file(tmp_path), str(snap), "--depth", "3"])

@@ -10,10 +10,9 @@ from ordersketch import (
     infiltration_product,
     pairing,
     shuffle_product,
-    stream_features,
 )
 
-from util import expand_by_positions, four_event_stream, random_stream
+from util import expand_by_positions, four_event_stream, random_stream, stream_features
 
 # Frozen two-letter expansions over alphabet {a=0, b=1}, checked against the
 # position-subset oracle in util.expand_by_positions before being pinned here.

@@ -8,7 +8,6 @@ from ordersketch import (
     OrderSketch,
     Stream,
     dense_pullback,
-    stream_features,
 )
 from ordersketch.hashing import HashFamilySpec, sample_hashes
 from ordersketch.experiments import (
@@ -25,6 +24,8 @@ from ordersketch.experiments import (
     train_linear_classifier,
     _memory_ratio,
 )
+
+from util import stream_features
 
 
 # -- stream generators ---------------------------------------------------------

@@ -10,12 +10,11 @@ from ordersketch import (
     EventMapKind,
     GradedTensor,
     Stream,
-    apply_event_inplace,
     features_from_arrays,
     l1_level_norm,
-    stream_features,
     truncated_product,
 )
+from ordersketch.features import apply_event_inplace
 
 from util import (
     brute_force_oracle,
@@ -25,6 +24,7 @@ from util import (
     oracle_level,
     random_stream,
     scale_stream,
+    stream_features,
 )
 
 KINDS = [EventMapKind.LINEAR, EventMapKind.EXP]
@@ -223,7 +223,7 @@ def test_batch_build_matches_fold(kind, depth):
     rng = np.random.Generator(np.random.PCG64(8))
     for length in (0, 1, 7, 200):
         s = random_stream(rng, 5, length)
-        batch = features_from_arrays(s.lambdas, s.letters, 5, kind, depth)
+        batch = features_from_arrays(s.lambdas, s.letters, GradedTensor.unit(5, depth), kind)
         assert batch.allclose(stream_features(s, kind, depth), rtol=1e-12, atol=1e-12)
 
 
@@ -232,5 +232,56 @@ def test_batch_build_chunk_boundaries(kind, monkeypatch):
     monkeypatch.setattr(features_mod, "_CHUNK", 7)
     rng = np.random.Generator(np.random.PCG64(9))
     s = random_stream(rng, 4, 45)
-    batch = features_from_arrays(s.lambdas, s.letters, 4, kind, 2)
+    batch = features_from_arrays(s.lambdas, s.letters, GradedTensor.unit(4, 2), kind)
     assert batch.allclose(stream_features(s, kind, 2), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_fold_onto_first_half_equals_whole(kind, depth):
+    rng = np.random.Generator(np.random.PCG64(12))
+    for length in (1, 9, 200):
+        s = random_stream(rng, 5, length)
+        cut = int(rng.integers(0, length + 1))
+        left, right = s.slice(0, cut), s.slice(cut, length)
+        phi = features_from_arrays(left.lambdas, left.letters, GradedTensor.unit(5, depth), kind)
+        assert features_from_arrays(right.lambdas, right.letters, phi, kind) is phi
+        assert phi.allclose(stream_features(s, kind, depth), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_fold_onto_any_tensor_is_the_product(kind, depth, monkeypatch):
+    # level 0 need not be 1; small chunks make the level-2 fold span several
+    monkeypatch.setattr(features_mod, "_CHUNK", 7)
+    rng = np.random.Generator(np.random.PCG64(13))
+    for _ in range(5):
+        phi = GradedTensor(4, depth, [rng.uniform(0, 2, 4**m) for m in range(depth + 1)])
+        s = random_stream(rng, 4, 30)
+        expected = truncated_product(phi, stream_features(s, kind, depth))
+        features_from_arrays(s.lambdas, s.letters, phi, kind)
+        assert phi.allclose(expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_fold_rejects_bad_events_before_touching_phi(kind, depth):
+    rng = np.random.Generator(np.random.PCG64(14))
+    phi = stream_features(random_stream(rng, 3, 6), kind, depth)
+    before = phi.copy()
+    cases = [
+        ([1.0, -1.0], [0, 1], "finite and nonnegative"),
+        ([1.0, math.inf], [0, 1], "finite and nonnegative"),
+        ([1.0, math.nan], [0, 1], "finite and nonnegative"),
+        ([1.0, 1.0], [0, 3], "outside alphabet"),
+        ([1.0], [0, 1], "equal length"),
+    ]
+    for lams, letters, needle in cases:
+        lams, letters = np.array(lams), np.array(letters)
+        with pytest.raises(ValueError, match=needle) as want:
+            Stream(lams, letters, 3)
+        with pytest.raises(ValueError) as got:
+            features_from_arrays(lams, letters, phi, kind)
+        assert str(got.value) == str(want.value)
+        for level, old in zip(phi.levels, before.levels):
+            assert np.array_equal(level, old)

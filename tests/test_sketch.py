@@ -15,7 +15,6 @@ from ordersketch import (
     Stream,
     dense_pullback,
     mine_heavy_patterns,
-    stream_features,
     table_shape_for,
     word_from_index,
 )
@@ -28,7 +27,7 @@ from ordersketch.hashing import (
     smallest_prime_geq,
 )
 
-from util import PlainCountMin, hash_word, random_stream
+from util import PlainCountMin, hash_word, random_stream, stream_features
 
 KINDS = [EventMapKind.LINEAR, EventMapKind.EXP]
 
@@ -270,11 +269,22 @@ def test_extend_overflow_raises_and_keeps_sketch():
         assert t.allclose(b, rtol=0)
 
 
-def test_snapshot_refuses_non_finite_tables():
+def test_update_product_overflow_raises_and_keeps_sketch():
+    # the coefficients are finite; 1e200 * 1e200 overflows in the level-2 fold
     sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.LINEAR, 3, seed=0)
     sk.update(1e200, 0)
-    with pytest.warns(RuntimeWarning):
+    before = [t.copy() for t in sk.tables]
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
         sk.update(1e200, 1)
+    assert (sk.events_seen, sk.stream_l1) == (1, 1e200)
+    for t, b in zip(sk.tables, before):
+        assert t.allclose(b, rtol=0)
+
+
+def test_snapshot_refuses_non_finite_tables():
+    sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.LINEAR, 3, seed=0)
+    sk.update(1.0, 0)
+    sk.tables[0].levels[2][1] = math.inf
     with pytest.raises(ValueError, match="finite"):
         sk.to_snapshot()
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from ordersketch import EventMapKind, GradedTensor, Stream, eval_hash
 from ordersketch.cli import main as cli_main
+from ordersketch.features import apply_event_inplace
 
 
 def four_event_stream() -> Stream:
@@ -35,6 +36,14 @@ def scale_stream(stream: Stream, c: float) -> Stream:
 def hash_word(h, word) -> tuple:
     """Letterwise image of a word."""
     return tuple(eval_hash(h, int(a)) for a in word)
+
+
+def stream_features(stream: Stream, kind, depth: int) -> GradedTensor:
+    """Reference fold: apply every event in order to the unit tensor."""
+    phi = GradedTensor.unit(stream.alphabet_size, depth)
+    for event in stream:
+        apply_event_inplace(phi, event, kind)
+    return phi
 
 
 def event_polynomial(event, kind, alphabet_size: int, depth: int) -> GradedTensor:
