@@ -21,7 +21,6 @@ from .sketch import (
     OrderSketch,
     dense_pullback,
     mine_heavy_patterns,
-    table_shape_for,
 )
 from .experiments import (
     ErrorReport,
@@ -84,7 +83,6 @@ __all__ = [
     "sample_hashes",
     "shuffle_product",
     "smallest_prime_geq",
-    "table_shape_for",
     "train_linear_classifier",
     "truncated_product",
     "word_from_index",

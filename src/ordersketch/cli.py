@@ -25,7 +25,7 @@ from .experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from .features import EventMapKind, NonFiniteError, features_from_arrays
+from .features import NonFiniteError, features_from_arrays
 from .sketch import CandidateCapError, OrderSketch, mine_heavy_patterns
 from .tensor import GradedTensor, Stream, word_from_index, word_from_text, word_index, word_to_text
 
@@ -226,11 +226,10 @@ def cmd_exact(args) -> int:
     n = stream.alphabet_size
     coords = sum(n**m for m in range(args.depth + 1))
     if coords > args.max_coordinates:
-        _note(
+        raise CandidateCapError(
             f"refusing exact run: {coords} coordinates (~{coords * 8} bytes) exceed"
             f" the cap of {args.max_coordinates}; raise --max-coordinates to override"
         )
-        return EXIT_RESOURCE
     phi = GradedTensor.unit(n, args.depth)
     features_from_arrays(stream.lambdas, stream.letters, phi, args.event_map)
     if not all(np.isfinite(level).all() for level in phi.levels):
@@ -278,23 +277,14 @@ def cmd_merge(args) -> int:
     return EXIT_OK
 
 
-_TUPLE_FIELDS = {"bucket_counts", "hash_counts", "q_values", "segments"}
-
-
 def _experiment_config(cls, overrides: dict, seed: int):
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(overrides) - fields
+    unknown = set(overrides) - set(cls.__dataclass_fields__)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
-    clean = {}
-    for key, value in overrides.items():
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        if key == "kind":
-            value = EventMapKind(value)
-        clean[key] = value
-    clean.setdefault("base_seed", seed)
-    return cls(**clean)
+    try:
+        return cls(**{"base_seed": seed, **overrides})
+    except (TypeError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
 
 
 def cmd_experiment(args) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .tensor import GradedTensor, Word, word_from_text
+from .tensor import GradedTensor, Word
 
 
 @dataclass
@@ -38,10 +38,6 @@ class LinearFunctional:
     @classmethod
     def from_word(cls, word) -> LinearFunctional:
         return cls({tuple(int(a) for a in word): 1.0})
-
-    @classmethod
-    def from_text(cls, text: str) -> LinearFunctional:
-        return cls.from_word(word_from_text(text))
 
     def coefficient(self, word) -> float:
         return self.terms.get(tuple(word), 0.0)

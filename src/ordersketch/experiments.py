@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import median
 
 import numpy as np
@@ -75,7 +75,8 @@ class StreamClass(str, enum.Enum):
 @dataclass(frozen=True)
 class MarkovExperimentConfig:
     """One three-segment stream: a hot letter per leading segment, then a
-    mixing tail.  TYPE_A hots letter 1 then letter 2; TYPE_B swaps them."""
+    mixing tail.  TYPE_A hots letter 1 then letter 2; TYPE_B swaps them.
+    ``segments`` is derived: ``(L//4, L//4, L - 2*(L//4))`` for ``total_length`` L >= 4."""
 
     alphabet_size: int
     total_length: int
@@ -83,22 +84,17 @@ class MarkovExperimentConfig:
     q: float
     stream_class: StreamClass
     seed: int
-    segments: tuple = ()  # (s1, s2, s3); default (L/4, L/4, L/2)
+    segments: tuple = field(init=False)
 
     def __post_init__(self):
         if self.alphabet_size < 3:
             raise ValueError("need letters 1 and 2 plus at least one filler letter")
         if not (0 < self.p < 1 and 0 < self.q < 1):
             raise ValueError("p and q must lie in (0, 1)")
-        if not self.segments:
-            quarter = self.total_length // 4
-            object.__setattr__(
-                self, "segments", (quarter, quarter, self.total_length - 2 * quarter)
-            )
-        if len(self.segments) != 3 or any(s <= 0 for s in self.segments):
+        if self.total_length < 4:
             raise ValueError("need three positive segments")
-        if sum(self.segments) != self.total_length:
-            raise ValueError("segments must sum to total_length")
+        quarter = self.total_length // 4
+        object.__setattr__(self, "segments", (quarter, quarter, self.total_length - 2 * quarter))
         object.__setattr__(self, "stream_class", StreamClass(self.stream_class))
 
 
@@ -139,22 +135,18 @@ class ErrorReport:
     aggregate: float
 
 
-def error_metric(
-    exact: GradedTensor, estimate: GradedTensor, top_level_normalization: bool = False
-) -> ErrorReport:
-    """Sum of |exact - estimate| per level, divided by the exact level mass.
-
-    With ``top_level_normalization`` every level is divided by the top
-    level's mass instead of its own.  Levels with zero mass and zero gap
-    score zero.
+def error_metric(exact: GradedTensor, estimate: GradedTensor) -> ErrorReport:
+    """Sum of |exact - estimate| per level 1..depth, divided by the exact
+    mass of that level, the scale of the paper's ``epsilon * ||Phi||_m``
+    bound.  Levels with zero mass and zero gap score zero; a gap on a level
+    with zero mass scores infinity.
     """
     if (exact.alphabet_size, exact.depth) != (estimate.alphabet_size, estimate.depth):
         raise ValueError("tensors must share alphabet_size and depth")
     per_level = []
-    top_mass = l1_level_norm(exact, exact.depth)
     for m in range(1, exact.depth + 1):
         gap = float(np.abs(exact.levels[m] - estimate.levels[m]).sum())
-        denom = top_mass if top_level_normalization else l1_level_norm(exact, m)
+        denom = l1_level_norm(exact, m)
         if denom == 0.0:
             per_level.append(0.0 if gap == 0.0 else math.inf)
         else:
@@ -244,6 +236,30 @@ def train_linear_classifier(
     return LogisticModel(raw_w, raw_b, tuple(history))
 
 
+# -- harness configs ---------------------------------------------------------
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_grid(is_item):
+    """A check that a value is a non-empty list or tuple of items passing ``is_item``."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(is_item, v))
+
+
+def _check_fields(config, is_ok, want: str, *names: str) -> None:
+    """Raise ValueError unless each named field of a harness config passes ``is_ok``."""
+    for name in names:
+        value = getattr(config, name)
+        if not is_ok(value):
+            raise ValueError(f"config field {name} must be {want}, not {value!r}")
+
+
 # -- experiment one ----------------------------------------------------------
 
 
@@ -260,6 +276,13 @@ class ExperimentOneConfig:
     repetitions: int = 10
     base_seed: int = 0
     include_identity_row: bool = False
+
+    def __post_init__(self):
+        _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "length", "depth",
+                      "repetitions")
+        _check_fields(self, _is_grid(_is_count), "a non-empty list of ints >= 1",
+                      "bucket_counts", "hash_counts")
+        object.__setattr__(self, "kind", EventMapKind(self.kind))
 
 
 @dataclass(frozen=True)
@@ -352,6 +375,13 @@ class ExperimentTwoConfig:
     base_seed: int = 0
     candidate_cap: int = 1_000_000
     chunk_size: int = 2048
+
+    def __post_init__(self):
+        _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "total_length",
+                      "streams_per_class", "depth", "splits", "epochs", "candidate_cap",
+                      "chunk_size")
+        _check_fields(self, _is_grid(_is_number), "a non-empty list of numbers", "q_values")
+        object.__setattr__(self, "kind", EventMapKind(self.kind))
 
 
 @dataclass(frozen=True)

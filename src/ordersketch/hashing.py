@@ -13,7 +13,7 @@ coincide with a shorter one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,20 +132,18 @@ def eval_hash_array(h: AffineHash, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HashFamilySpec:
-    """Domain/range sizes plus the modulus and seed the draws come from."""
+    """Domain/range sizes and the seed the draws come from.  The modulus
+    ``p`` is derived: the smallest prime >= ``max(source_size, 2)``."""
 
     source_size: int
     target_size: int
     seed: int
-    p: int = 0
+    p: int = field(init=False)
 
     def __post_init__(self):
         if self.source_size < 1 or self.target_size < 1:
             raise ValueError("sizes must be positive")
-        if self.p == 0:
-            object.__setattr__(self, "p", smallest_prime_geq(max(self.source_size, 2)))
-        if self.p < self.source_size or not _is_prime(self.p):
-            raise ValueError("p must be a prime >= source_size")
+        object.__setattr__(self, "p", smallest_prime_geq(max(self.source_size, 2)))
 
 
 def sample_hashes(spec: HashFamilySpec, r: int) -> list:

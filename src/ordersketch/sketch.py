@@ -7,8 +7,8 @@ the table coordinates.  Because every event weight is nonnegative, hashing
 only merges mass: each table coordinate dominates the true coordinate, so
 
 * estimates never underestimate, for every hash draw, and
-* with ``bucket_count = ceil(2 / epsilon)`` and ``hash_count =
-  ceil(log2(1 / delta))``, the estimate of a word of length m exceeds the
+* with the table shape that `OrderSketch.from_parameters` picks for
+  ``(epsilon, delta)``, the estimate of a word of length m exceeds the
   truth by more than ``epsilon * (l1 mass of exact level m)`` with
   probability below ``delta``.
 
@@ -60,7 +60,7 @@ SNAPSHOT_VERSION = 1
 
 
 class CandidateCapError(RuntimeError):
-    """Raised when a word enumeration would exceed its cap."""
+    """Raised when an enumeration of words or coordinates would exceed its cap."""
 
 
 def _require_finite(tables: list, *scalars: float) -> None:
@@ -68,17 +68,6 @@ def _require_finite(tables: list, *scalars: float) -> None:
         np.isfinite(level).all() for table in tables for level in table.levels
     ):
         raise NonFiniteError("sketch holds a non-finite value (float64 overflow)")
-
-
-def table_shape_for(epsilon: float, delta: float) -> tuple[int, int]:
-    """(bucket_count, hash_count) for an accuracy/confidence target."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("need 0 < epsilon <= 1")
-    if not 0 < delta < 1:
-        raise ValueError("need 0 < delta < 1")
-    buckets = math.ceil(2.0 / epsilon)
-    hashes = max(1, math.ceil(math.log2(1.0 / delta)))
-    return buckets, hashes
 
 
 @dataclass
@@ -137,11 +126,16 @@ class OrderSketch:
         alphabet_size: int,
         seed: int,
     ) -> OrderSketch:
-        """Size the tables from (epsilon, delta) and draw the hashes from the seed."""
-        buckets, hash_count = table_shape_for(epsilon, delta)
-        spec = HashFamilySpec(alphabet_size, buckets, seed)
+        """Draw the hashes from the seed into ``ceil(2 / epsilon)`` buckets and
+        ``max(1, ceil(log2(1 / delta)))`` tables (0 < epsilon <= 1, 0 < delta < 1)."""
+        if not 0 < epsilon <= 1:
+            raise ValueError("need 0 < epsilon <= 1")
+        if not 0 < delta < 1:
+            raise ValueError("need 0 < delta < 1")
+        buckets = math.ceil(2.0 / epsilon)
+        hash_count = max(1, math.ceil(math.log2(1.0 / delta)))
         return cls(
-            sample_hashes(spec, hash_count),
+            sample_hashes(HashFamilySpec(alphabet_size, buckets, seed), hash_count),
             depth,
             kind,
             alphabet_size,

@@ -157,10 +157,6 @@ class GradedTensor:
         out.levels[0][0] = 1.0
         return out
 
-    @classmethod
-    def zero(cls, alphabet_size: int, depth: int) -> GradedTensor:
-        return cls(alphabet_size, depth)
-
     def coordinate(self, word: Sequence[int]) -> float:
         level, offset = word_index(word, self.alphabet_size)
         if level > self.depth:
@@ -190,7 +186,7 @@ def truncated_product(x: GradedTensor, y: GradedTensor) -> GradedTensor:
     """
     if (x.alphabet_size, x.depth) != (y.alphabet_size, y.depth):
         raise ValueError("operands must share alphabet_size and depth")
-    out = GradedTensor.zero(x.alphabet_size, x.depth)
+    out = GradedTensor(x.alphabet_size, x.depth)
     for m in range(x.depth + 1):
         acc = out.levels[m]
         for k in range(m + 1):

@@ -1,10 +1,15 @@
-"""The public surface of the package: exactly these names, each resolvable,
-and one way to construct and feed a sketch."""
+"""The public surface of the package: exactly these names, each resolvable
+and each used by the package or a demo, and one way to construct and feed a
+sketch."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import ordersketch
 from ordersketch import OrderSketch
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = {
     "AffineHash",
@@ -39,7 +44,6 @@ PUBLIC_NAMES = {
     "sample_hashes",
     "shuffle_product",
     "smallest_prime_geq",
-    "table_shape_for",
     "train_linear_classifier",
     "truncated_product",
     "word_from_index",
@@ -50,7 +54,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 38
     assert len(ordersketch.__all__) == len(set(ordersketch.__all__))
     assert set(ordersketch.__all__) == PUBLIC_NAMES
 
@@ -77,3 +81,40 @@ def test_extend_takes_only_a_stream():
 def test_features_from_arrays_folds_onto_a_tensor():
     params = list(inspect.signature(ordersketch.features_from_arrays).parameters)
     assert params == ["lambdas", "letters", "phi", "kind"]
+
+
+def test_options_with_one_value_in_use_are_gone():
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(ordersketch.error_metric) == ["exact", "estimate"]
+    assert params(ordersketch.HashFamilySpec) == ["source_size", "target_size", "seed"]
+    assert params(ordersketch.MarkovExperimentConfig) == [
+        "alphabet_size", "total_length", "p", "q", "stream_class", "seed",
+    ]
+
+
+def _names_used(path: Path) -> set:
+    """Names loaded in a module (as a name or an attribute) outside the
+    top-level def or class of the same name, plus names a demo imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and path.parent.name == "demos":
+            used.update(alias.name for alias in stmt.names)
+        loaded = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+        loaded.discard(getattr(stmt, "name", None))
+        used |= loaded
+    return used
+
+
+def test_every_export_has_a_caller():
+    files = [p for p in (ROOT / "src" / "ordersketch").glob("*.py") if p.name != "__init__.py"]
+    files += (ROOT / "demos").glob("*.py")
+    used = set().union(*map(_names_used, files))
+    assert set(ordersketch.__all__) - used == set()

@@ -421,6 +421,25 @@ def test_experiment_rejects_unknown_config_keys(tmp_path):
     assert code == 2 and "unknown config keys" in err
 
 
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("table1", {"repetitions": 0, "length": 1000, "bucket_counts": [4], "hash_counts": [2]}),
+        ("table1", {"bucket_counts": 5}),
+        ("table1", {"alphabet_size": "x"}),
+        ("table2", {"q_values": 0.2}),
+        ("table2", {"splits": 0, "streams_per_class": 3, "total_length": 1000,
+                    "alphabet_size": 50, "rho": 20, "q_values": [0.3]}),
+    ],
+)
+def test_experiment_bad_config_field_is_data_error(tmp_path, name, overrides):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(overrides))
+    code, out, err = run_cli(["experiment", name, "--config", str(config)])
+    assert code == 2 and out == ""
+    assert "data error" in err
+
+
 # -- global behaviour --------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from ordersketch import (
     infiltration_product,
     pairing,
     shuffle_product,
+    word_from_text,
 )
 
 from util import expand_by_positions, four_event_stream, random_stream, stream_features
@@ -41,7 +42,7 @@ def test_functional_basics():
     assert f.coefficient((1,)) == 0.0  # zero terms are dropped
     assert (1,) not in f.terms
     assert f.max_length() == 2
-    assert LinearFunctional.from_text("0.1").terms == {(0, 1): 1.0}
+    assert LinearFunctional.from_word(word_from_text("0.1")).terms == {(0, 1): 1.0}
 
 
 def test_functional_sum_and_scale():

@@ -15,7 +15,6 @@ from ordersketch import (
     Stream,
     dense_pullback,
     mine_heavy_patterns,
-    table_shape_for,
     word_from_index,
 )
 from ordersketch.experiments import MarkovExperimentConfig, StreamClass, gen_markov_stream
@@ -32,17 +31,22 @@ from util import PlainCountMin, hash_word, random_stream, stream_features
 KINDS = [EventMapKind.LINEAR, EventMapKind.EXP]
 
 
+def table_shape(eps, delta):
+    sk = OrderSketch.from_parameters(eps, delta, 1, "linear", 2, 0)
+    return sk.bucket_count, sk.hash_count
+
+
 def test_table_shape_examples():
-    assert table_shape_for(0.5, 0.25) == (4, 2)
-    assert table_shape_for(1.0, 0.5) == (2, 1)
-    assert table_shape_for(0.1, 0.05) == (20, 5)
-    assert table_shape_for(0.3, 0.7) == (7, 1)  # r floors at 1
+    assert table_shape(0.5, 0.25) == (4, 2)
+    assert table_shape(1.0, 0.5) == (2, 1)
+    assert table_shape(0.1, 0.05) == (20, 5)
+    assert table_shape(0.3, 0.7) == (7, 1)  # r floors at 1
 
 
 def test_table_shape_validation():
     for eps, delta in [(0.0, 0.5), (1.5, 0.5), (0.5, 0.0), (0.5, 1.0), (-1, 0.5)]:
         with pytest.raises(ValueError):
-            table_shape_for(eps, delta)
+            table_shape(eps, delta)
 
 
 def test_from_parameters_shapes():

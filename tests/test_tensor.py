@@ -148,8 +148,8 @@ def test_product_grading():
 def test_product_concatenation_offsets():
     # coordinate of uv is the product of coordinates at the concatenated offset
     n = 3
-    x = GradedTensor.zero(n, 2)
-    y = GradedTensor.zero(n, 2)
+    x = GradedTensor(n, 2)
+    y = GradedTensor(n, 2)
     x.levels[1][1] = 5.0  # word (1,)
     y.levels[1][2] = 7.0  # word (2,)
     prod = truncated_product(x, y)
