@@ -260,15 +260,16 @@ def cmd_exact(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    sketches = [_load_snapshot(path) for path in args.snapshots]
-    merged = sketches[0]
-    for other in sketches[1:]:
-        merged = merged.merge(other)
+    sketches = [_load_snapshot(path) for path in args.snapshots]  # fail before any merge
+    inputs = len(sketches)
+    merged = sketches.pop(0)
+    while sketches:  # drop each input once folded, so the save's copies do not add to them
+        merged = merged.merge(sketches.pop(0))
     _save_snapshot(merged, args.out)
     _emit(
         {
             "record": "merge",
-            "inputs": len(sketches),
+            "inputs": inputs,
             "events": merged.events_seen,
             "stream_l1": merged.stream_l1,
             "snapshot": args.out,

@@ -239,8 +239,12 @@ def train_linear_classifier(
 # -- harness configs ---------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 def _is_number(value) -> bool:
@@ -278,8 +282,10 @@ class ExperimentOneConfig:
     include_identity_row: bool = False
 
     def __post_init__(self):
-        _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "length", "depth",
-                      "repetitions")
+        _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "length", "heavy_count",
+                      "depth", "repetitions")
+        _check_fields(self, _is_number, "a number", "heavy_mass")
+        _check_fields(self, _is_int, "an int", "base_seed")
         _check_fields(self, _is_grid(_is_count), "a non-empty list of ints >= 1",
                       "bucket_counts", "hash_counts")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
@@ -380,6 +386,9 @@ class ExperimentTwoConfig:
         _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "total_length",
                       "streams_per_class", "depth", "splits", "epochs", "candidate_cap",
                       "chunk_size")
+        _check_fields(self, _is_number, "a number", "p", "epsilon", "delta", "rho",
+                      "test_fraction", "l2")
+        _check_fields(self, _is_int, "an int", "base_seed")
         _check_fields(self, _is_grid(_is_number), "a non-empty list of numbers", "q_values")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
 

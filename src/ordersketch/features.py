@@ -16,19 +16,21 @@ graded tensor by multiplying one small tensor per event:
 multiplies ``phi`` in place by the stream's event tensors.  Folded onto the
 unit tensor it builds the stream's features; folded onto a sketch table it
 gives, by Chen's identity, the graded product of the table and the stream's
-features without building the latter.  It selects its kernel by depth:
+features without building the latter.
 
-* depth <= 2: a closed form over whole chunks.  Level 1 gains a weighted
-  bincount; level 2 gains ``outer(running level 1, chunk total)`` plus
-  ``prefix.T @ W`` per chunk (W holding one weighted one-hot row per
-  event), and a diagonal ``lam**2 / 2`` term for the exp map.
-* depth >= 3: `apply_event_inplace`, one event at a time.  A chunked
-  level-3 kernel (prefix states scattered with bincount, ``reduceat`` or a
-  one-hot matmul) measured about 3x slower than this per-event step at 64
-  buckets (4 tables x 10k events: 5.0-8.6 s against 1.7-2.0 s on a 2-vCPU
-  VM), so the depth selection stays.
+At depth <= 3 one kernel folds whole chunks of events.  A chunk is a
+weighted one-hot matrix ``w`` of shape ``(n, L)``, one column per event, with
+exclusive prefix sums ``P`` and suffix sums ``S`` along the events.  Its own
+levels are ``F1 = w.sum(1)``, ``F2 = P @ w.T`` and, split at the middle
+event, ``F3[:, v, :] = (P[:, J] * lam[J]) @ S[:, J].T`` over the events
+``J`` with letter ``v``, plus the exp map's diagonal terms.  Chen's identity
+folds the chunk onto ``phi`` in `apply_event_inplace`'s order, so one event
+folds to the same bits.  ``P`` and ``S`` are shifted cumsums,
+``cumsum(w) - w``, not ``total - P - w``, whose +-1e-16 residues where a
+coordinate is 0 could let an estimate fall below the true count.  A chunk
+holds ``_CHUNK_BYTES / (8 n)`` events.
 
-Both kernels compute the same values up to float addition order.
+Depth >= 4 folds one event at a time with `apply_event_inplace`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class EventMapKind(str, enum.Enum):
 
 
 def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
-    """Multiply ``phi`` by one event's tensor, in place: the depth >= 3 step
+    """Multiply ``phi`` by one event's tensor, in place: the depth >= 4 step
     of `features_from_arrays`, which checks the letter and weight first.
 
     Levels are updated in descending order so that each source level is still
@@ -78,7 +80,7 @@ def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
             phi.levels[m][rep :: n**k] += coeffs[k] * phi.levels[m - k]
 
 
-_CHUNK = 16384
+_CHUNK_BYTES = 2 * 1024 * 1024  # per (alphabet, chunk) float64 array of the kernel
 
 
 def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTensor:
@@ -87,34 +89,46 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
 
     Weights and letters are checked as :class:`Stream` checks them, raising
     its ValueError, before ``phi`` is touched.  An overflow is not undone:
-    at depth >= 3 NonFiniteError leaves ``phi`` part-folded, and at depth
-    <= 2 non-finite values land in ``phi``.  Callers that must stay
+    at depth <= 3 non-finite values land in ``phi``, and at depth >= 4
+    NonFiniteError leaves ``phi`` part-folded.  Callers that must stay
     unchanged on failure fold a copy, as `OrderSketch.extend` does.
     """
     kind = EventMapKind(kind)
     stream = Stream(lambdas, letters, phi.alphabet_size)
-    if phi.depth > 2:
+    if phi.depth > 3:
         for event in stream:
             apply_event_inplace(phi, event, kind)
         return phi
-    n, lam, let = phi.alphabet_size, stream.lambdas, stream.letters
-    unit = phi.levels[0][0]  # 1 on sketch tables; scales the stream's own terms
-    if phi.depth == 2:
-        level2 = phi.levels[2].reshape(n, n)
-        running = phi.levels[1].copy()  # level 1 of the state before each chunk
-        for start in range(0, lam.size, _CHUNK):
-            lam_c = lam[start : start + _CHUNK]
-            let_c = let[start : start + _CHUNK]
-            w = np.zeros((lam_c.size, n))
-            w[np.arange(lam_c.size), let_c] = lam_c
-            prefix = np.cumsum(w, axis=0) - w  # exclusive prefix within chunk
-            chunk_tot = w.sum(axis=0)
-            level2 += np.multiply.outer(running, chunk_tot)
-            level2 += unit * (prefix.T @ w)
-            running += unit * chunk_tot
-        if kind is EventMapKind.EXP:
-            diag = np.bincount(let, weights=lam * lam * 0.5, minlength=n)
-            level2[np.arange(n), np.arange(n)] += unit * diag
-    if phi.depth >= 1:
-        phi.levels[1] += unit * np.bincount(let, weights=lam, minlength=n)
+    n, depth, exp = phi.alphabet_size, phi.depth, kind is EventMapKind.EXP
+    levels = [level.reshape((n,) * m) for m, level in enumerate(phi.levels)]  # views
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    for start in range(0, len(stream), step):
+        lam = stream.lambdas[start : start + step]
+        let = stream.letters[start : start + step]
+        w = np.zeros((n, lam.size))
+        w[let, np.arange(lam.size)] = lam
+        prefix = np.cumsum(w, axis=1)
+        chunk = [None, prefix[:, -1].copy()]  # the chunk's own levels F1..F3
+        prefix -= w  # exclusive: zero exactly where no earlier event has the letter
+        if exp:
+            half = 0.5 * lam * lam
+        if depth >= 2:
+            chunk.append(prefix @ w.T)
+            if exp:
+                chunk[2].flat[:: n + 1] += np.bincount(let, half, minlength=n)
+        if depth >= 3:
+            suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] - w
+            f3 = np.zeros((n, n, n))
+            order = np.argsort(let, kind="stable")
+            for at in np.split(order, np.flatnonzero(np.diff(let[order])) + 1):
+                v, p, s = let[at[0]], prefix[:, at], suffix[:, at]  # events with middle letter v
+                f3[:, v, :] = (p * lam[at]) @ s.T
+                if exp:
+                    f3[v, v, :] += half[at] @ s.T
+                    f3[:, v, v] += p @ half[at]
+                    f3[v, v, v] += (lam[at] ** 3).sum() / 6
+            chunk.append(f3)
+        for m in range(depth, 0, -1):  # Chen's identity, level 3 first
+            for k in range(m - 1, -1, -1):
+                levels[m] += np.multiply.outer(levels[k], chunk[m - k])
     return phi

@@ -353,6 +353,26 @@ def test_merge_equals_single_build(tmp_path):
         assert tm.allclose(tr, rtol=1e-10, atol=1e-9)
 
 
+def test_merge_equals_left_fold_of_inputs(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(16))
+    paths = []
+    for i in range(3):
+        p = tmp_path / f"part{i}.events"
+        write_stream_file(random_stream(rng, 12, 40), p)
+        paths.append(str(tmp_path / f"part{i}.json"))
+        assert run_cli(["build", str(p), paths[-1], "--seed", "4", "--depth", "3"])[0] == 0
+    merged_path = str(tmp_path / "merged.json")
+    code, out, _ = run_cli(["merge", *paths, "--out", merged_path])
+    assert code == 0
+    (record,) = parse_records(out)
+    assert record["inputs"] == 3 and record["events"] == 120
+    a, b, c = (OrderSketch.load(p) for p in paths)
+    fold = a.merge(b).merge(c)
+    for tm, tf in zip(OrderSketch.load(merged_path).tables, fold.tables):
+        for lm, lf in zip(tm.levels, tf.levels):
+            assert np.array_equal(lm, lf)
+
+
 def test_merge_mismatched_snapshots(tmp_path):
     stream_path, _ = write_random(tmp_path, "s.events", seed=6)
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -430,6 +450,8 @@ def test_experiment_rejects_unknown_config_keys(tmp_path):
         ("table2", {"q_values": 0.2}),
         ("table2", {"splits": 0, "streams_per_class": 3, "total_length": 1000,
                     "alphabet_size": 50, "rho": 20, "q_values": [0.3]}),
+        ("table1", {"heavy_mass": "x"}),
+        ("table2", {"p": "x"}),
     ],
 )
 def test_experiment_bad_config_field_is_data_error(tmp_path, name, overrides):

@@ -13,6 +13,7 @@ from ordersketch import (
     features_from_arrays,
     l1_level_norm,
     truncated_product,
+    word_index,
 )
 from ordersketch.features import apply_event_inplace
 
@@ -227,13 +228,19 @@ def test_batch_build_matches_fold(kind, depth):
         assert batch.allclose(stream_features(s, kind, depth), rtol=1e-12, atol=1e-12)
 
 
+def seven_event_chunks(monkeypatch, alphabet_size):
+    """Shrink the kernel's byte budget so that a chunk holds 7 events."""
+    monkeypatch.setattr(features_mod, "_CHUNK_BYTES", 8 * alphabet_size * 7)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_build_chunk_boundaries(kind, monkeypatch):
-    monkeypatch.setattr(features_mod, "_CHUNK", 7)
+    seven_event_chunks(monkeypatch, 4)
     rng = np.random.Generator(np.random.PCG64(9))
     s = random_stream(rng, 4, 45)
-    batch = features_from_arrays(s.lambdas, s.letters, GradedTensor.unit(4, 2), kind)
-    assert batch.allclose(stream_features(s, kind, 2), rtol=1e-12, atol=1e-12)
+    for depth in (1, 2, 3):
+        batch = features_from_arrays(s.lambdas, s.letters, GradedTensor.unit(4, depth), kind)
+        assert batch.allclose(stream_features(s, kind, depth), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -252,8 +259,8 @@ def test_fold_onto_first_half_equals_whole(kind, depth):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_fold_onto_any_tensor_is_the_product(kind, depth, monkeypatch):
-    # level 0 need not be 1; small chunks make the level-2 fold span several
-    monkeypatch.setattr(features_mod, "_CHUNK", 7)
+    # level 0 need not be 1; small chunks make the fold span several
+    seven_event_chunks(monkeypatch, 4)
     rng = np.random.Generator(np.random.PCG64(13))
     for _ in range(5):
         phi = GradedTensor(4, depth, [rng.uniform(0, 2, 4**m) for m in range(depth + 1)])
@@ -261,6 +268,31 @@ def test_fold_onto_any_tensor_is_the_product(kind, depth, monkeypatch):
         expected = truncated_product(phi, stream_features(s, kind, depth))
         features_from_arrays(s.lambdas, s.letters, phi, kind)
         assert phi.allclose(expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("short_chunks", [False, True])
+def test_fold_zeros_are_exact_and_nothing_is_negative(kind, depth, short_chunks, monkeypatch):
+    # A count-min estimate must never undershoot, so a coordinate that is 0
+    # in the stream must fold to exactly 0, never to a +-1e-16 residue.
+    # Letter 0 occurs once, first; letter 1 once, last; letter 2 once,
+    # inside; letters 3 and 4 fill the rest.
+    if short_chunks:
+        seven_event_chunks(monkeypatch, 5)
+    rng = np.random.Generator(np.random.PCG64(15))
+    for _ in range(10):
+        length = int(rng.integers(4, 13))
+        letters = rng.integers(3, 5, size=length)
+        letters[0], letters[-1], letters[int(rng.integers(1, length - 1))] = 0, 1, 2
+        s = Stream(rng.uniform(0.1, 2.0, size=length), letters, 5)
+        phi = features_from_arrays(s.lambdas, s.letters, GradedTensor.unit(5, depth), kind)
+        for m in range(1, depth + 1):
+            nonzero = np.zeros(5**m, dtype=bool)
+            for word in oracle_level(s, m, kind):
+                nonzero[word_index(word, 5)[1]] = True
+            assert np.array_equal(phi.levels[m] != 0, nonzero)
+            assert phi.levels[m].min() >= 0
 
 
 @pytest.mark.parametrize("kind", KINDS)
