@@ -4,8 +4,8 @@ Machine-readable output goes to stdout as one JSON record per line with
 sorted keys; human summaries and timings go to stderr.  Randomized commands
 rerun with the same ``--seed`` therefore produce byte-identical stdout.
 
-Stream files are plain text: a first line ``alphabet_size=N`` followed by
-one ``<weight><TAB><letter>`` line per event.
+Stream files are plain text: a first line ``alphabet_size=N`` (N below
+2**61) followed by one ``<weight><TAB><letter>`` line per event.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource guard.
 """
@@ -70,6 +70,8 @@ def read_stream_file(path: str) -> Stream:
         alphabet_size = int(lines[0].split("=", 1)[1])
     except ValueError as exc:
         raise DataError(f"{path}:1: malformed alphabet size") from exc
+    if alphabet_size >= 1 << 61:  # past the hash family's domain, so past every sketch
+        raise DataError(f"{path}:1: alphabet size must be below 2**61")
     lams, lets = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -84,7 +86,7 @@ def read_stream_file(path: str) -> Stream:
             raise DataError(f"{path}:{lineno}: malformed event") from exc
     try:
         return Stream(np.array(lams), np.array(lets, dtype=np.int64), alphabet_size)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a letter past int64
         raise DataError(f"{path}: {exc}") from exc
 
 

@@ -26,6 +26,7 @@ from .features import EventMapKind, features_from_arrays
 from .hashing import (
     AffineHash,
     HashFamilySpec,
+    _is_int,
     derive_seed,
     sample_hashes,
     smallest_prime_geq,
@@ -237,10 +238,6 @@ def train_linear_classifier(
 
 
 # -- harness configs ---------------------------------------------------------
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_count(value) -> bool:

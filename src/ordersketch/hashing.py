@@ -82,6 +82,10 @@ class _SplitMix64:
 PRNG_ID = "splitmix64"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """A decorrelated child seed for run ``index`` of a seeded experiment."""
     gen = _SplitMix64((seed & _MASK64) ^ ((index + 1) * 0xD1B54A32D192ED03 & _MASK64))
@@ -98,6 +102,8 @@ class AffineHash:
     n: int
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.a, self.b, self.p, self.n))):
+            raise ValueError("hash parameters a, b, p and n must be integers")
         if not (_is_prime(self.p) and self.p < (1 << 61)):
             raise ValueError("p must be a prime below 2**61")
         if not 1 <= self.a < self.p:
@@ -106,9 +112,6 @@ class AffineHash:
             raise ValueError("need 0 <= b < p")
         if self.n < 1:
             raise ValueError("need at least one bucket")
-
-    def __call__(self, x: int) -> int:
-        return eval_hash(self, x)
 
 
 def eval_hash(h: AffineHash, x: int) -> int:

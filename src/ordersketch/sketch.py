@@ -30,18 +30,17 @@ estimate reaches ``rho ** len(word)`` is reported.  Overestimation makes the
 survivor set a superset of the words that are truly heavy in that scaled
 sense; false positives are controlled by the tail bound above.
 
-Snapshots serialize the full sketch state to a self-describing, versioned
-JSON document (table payloads as base64 little-endian float64) and round-trip
-bit-exactly.  Tables must stay finite: `extend`, merging and snapshot
-encoding and decoding raise ValueError on a value that overflowed float64.
+Snapshots serialize the full sketch state as one self-describing, versioned
+JSON header line followed by the tables as raw little-endian float64, and
+round-trip bit-exactly.  Tables must stay finite: `extend`, merging and
+snapshot encoding and decoding raise ValueError on a non-finite value.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,13 +49,16 @@ from .hashing import (
     PRNG_ID,
     AffineHash,
     HashFamilySpec,
+    _is_int,
     eval_hash_array,
     sample_hashes,
 )
 from .tensor import GradedTensor, Stream, truncated_product, word_from_index
 
 SNAPSHOT_FORMAT = "order-sketch-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+_HEADER_ATTRIBUTES = ("alphabet_size", "bucket_count", "delta", "depth", "epsilon",
+                      "events_seen", "hash_count", "seed", "stream_l1")
 
 
 class CandidateCapError(RuntimeError):
@@ -115,6 +117,9 @@ class OrderSketch:
         if any((t.alphabet_size, t.depth) != (buckets, self.depth) for t in self.tables):
             raise ValueError(f"tables must have {buckets} buckets and depth {self.depth}")
         _require_finite(self.tables, self.stream_l1, self.epsilon, self.delta)
+        if not (_is_int(self.events_seen) and self.events_seen >= 0 and self.stream_l1 >= 0):
+            raise ValueError(f"need an integer events_seen >= 0 and stream_l1 >= 0, not"
+                             f" {self.events_seen!r} and {self.stream_l1!r}")
 
     @classmethod
     def from_parameters(
@@ -238,33 +243,18 @@ class OrderSketch:
     # -- persistence ---------------------------------------------------------
 
     def to_snapshot(self) -> bytes:
+        """Snapshot version 2: one JSON header line (sorted keys, no spaces)
+        holding the format, version, PRNG, parameters, counts and hashes, then
+        every table's levels 0..depth, table after table, as raw little-endian
+        float64 in the in-memory big-endian word layout.  The returned bytes
+        are the only full-size copy of the tables made."""
         _require_finite(self.tables, self.stream_l1)
-        doc = {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "prng": PRNG_ID,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "depth": self.depth,
-            "event_map": self.kind.value,
-            "alphabet_size": self.alphabet_size,
-            "seed": self.seed,
-            "bucket_count": self.bucket_count,
-            "hash_count": self.hash_count,
-            "events_seen": self.events_seen,
-            "stream_l1": self.stream_l1,
-            "hashes": [{"a": h.a, "b": h.b, "p": h.p, "n": h.n} for h in self.hashes],
-            "tables": [
-                [
-                    base64.b64encode(np.ascontiguousarray(level, dtype="<f8").tobytes()).decode(
-                        "ascii"
-                    )
-                    for level in table.levels
-                ]
-                for table in self.tables
-            ],
-        }
-        return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+        header = {key: getattr(self, key) for key in _HEADER_ATTRIBUTES}
+        header.update(format=SNAPSHOT_FORMAT, version=SNAPSHOT_VERSION, prng=PRNG_ID,
+                      event_map=self.kind.value, hashes=[asdict(h) for h in self.hashes])
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+        levels = (np.ascontiguousarray(lv, dtype="<f8") for t in self.tables for lv in t.levels)
+        return b"".join([head.encode("ascii"), *levels])
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -272,38 +262,38 @@ class OrderSketch:
 
     @classmethod
     def from_snapshot(cls, payload: bytes) -> OrderSketch:
-        """Decode a snapshot.  ValueError when it is foreign, lacks a key,
-        disagrees with itself on table count or shape, or holds a
-        non-finite value."""
-        doc = json.loads(payload.decode("ascii"))
+        """Decode a :meth:`to_snapshot` payload.  ValueError when it is foreign
+        or of another version, lacks a header key, holds a non-integer count or
+        seed, has more or fewer payload bytes than ``hash_count`` tables of
+        ``bucket_count`` buckets and levels 0..``depth`` take, or holds a
+        value the constructor refuses."""
+        end = payload.find(b"\n")
+        doc = json.loads(payload[:end]) if end >= 0 else None
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a sketch snapshot")
         if doc.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
+        body = memoryview(payload)[end + 1 :]
         try:
             hashes = [AffineHash(h["a"], h["b"], h["p"], h["n"]) for h in doc["hashes"]]
             if len(hashes) != doc["hash_count"]:
                 raise ValueError(f"snapshot has {len(hashes)} hashes, not {doc['hash_count']}")
-            buckets, depth = int(doc["bucket_count"]), int(doc["depth"])
-            tables = []
-            for levels_b64 in doc["tables"]:
-                levels = [
-                    np.frombuffer(base64.b64decode(blob), dtype="<f8").astype(np.float64)
-                    for blob in levels_b64
-                ]
-                tables.append(GradedTensor(buckets, depth, levels))
-            return cls(
-                hashes,
-                depth,
-                doc["event_map"],
-                int(doc["alphabet_size"]),
-                int(doc["seed"]),
-                epsilon=float(doc["epsilon"]),
-                delta=float(doc["delta"]),
-                tables=tables,
-                events_seen=int(doc["events_seen"]),
-                stream_l1=float(doc["stream_l1"]),
-            )
+            for key in ("alphabet_size", "bucket_count", "depth", "seed"):
+                if not _is_int(doc[key]):
+                    raise ValueError(f"snapshot {key} must be an integer, not {doc[key]!r}")
+            buckets, depth = doc["bucket_count"], doc["depth"]
+            sizes = [1]  # level sizes; the bound on the payload stops a huge depth early
+            while len(sizes) <= depth and 8 * (len(sizes) + sizes[-1]) <= len(body):
+                sizes.append(sizes[-1] * buckets)
+            if 8 * sum(sizes) * len(hashes) != len(body):
+                raise ValueError(f"snapshot payload of {len(body)} bytes does not match"
+                                 f" {len(hashes)} tables of {buckets} buckets, levels 0..{depth}")
+            rows = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(len(hashes), -1)
+            tables = [GradedTensor(buckets, depth, np.split(row, np.cumsum(sizes)[:-1]))
+                      for row in rows]
+            return cls(hashes, depth, doc["event_map"], doc["alphabet_size"], doc["seed"],
+                       epsilon=float(doc["epsilon"]), delta=float(doc["delta"]), tables=tables,
+                       events_seen=doc["events_seen"], stream_l1=float(doc["stream_l1"]))
         except KeyError as exc:
             raise ValueError(f"snapshot lacks key {exc}") from exc
         except TypeError as exc:

@@ -121,15 +121,6 @@ class Stream:
     def slice(self, start: int, stop: int) -> Stream:
         return Stream(self.lambdas[start:stop], self.letters[start:stop], self.alphabet_size)
 
-    def concat(self, other: Stream) -> Stream:
-        if other.alphabet_size != self.alphabet_size:
-            raise ValueError("alphabet mismatch")
-        return Stream(
-            np.concatenate([self.lambdas, other.lambdas]),
-            np.concatenate([self.letters, other.letters]),
-            self.alphabet_size,
-        )
-
 
 @dataclass
 class GradedTensor:

@@ -8,7 +8,14 @@ import pytest
 from ordersketch import EventMapKind, OrderSketch, Stream, word_from_text
 from ordersketch.cli import read_stream_file, write_stream_file
 
-from util import four_event_stream, parse_records, random_stream, run_cli
+from util import (
+    four_event_stream,
+    join_snapshot,
+    parse_records,
+    random_stream,
+    run_cli,
+    split_snapshot,
+)
 
 
 @pytest.fixture
@@ -44,6 +51,7 @@ def test_stream_file_errors_carry_line_numbers(tmp_path):
         "bad_sep.events": ("alphabet_size=4\n1.0 0\n", ":2: expected weight<TAB>letter"),
         "bad_weight.events": ("alphabet_size=4\n1.0\t0\nx\t1\n", ":3: malformed event"),
         "bad_letter.events": ("alphabet_size=4\n1.0\t9\n", "letter"),
+        "int64_letter.events": ("alphabet_size=4\n1.0\t9223372036854775808\n", "too large"),
     }
     for name, (content, needle) in cases.items():
         path = tmp_path / name
@@ -251,12 +259,64 @@ def test_query_truncated_snapshot_is_data_error(tmp_path):
     stream_path, _ = write_random(tmp_path, "s.events", seed=4)
     snap = tmp_path / "sk.json"
     assert run_cli(["build", stream_path, str(snap)])[0] == 0
-    doc = json.loads(snap.read_text())
-    assert doc["hash_count"] == 5
-    doc["tables"] = doc["tables"][:1]
-    snap.write_text(json.dumps(doc))
+    header, values = split_snapshot(snap.read_bytes())
+    assert header["hash_count"] == 5
+    snap.write_bytes(join_snapshot(header, values[: values.size // 5]))  # the first table only
     code, out, err = run_cli(["query", str(snap), "1"])
     assert code == 2 and out == "" and "data error" in err
+
+
+def _fractional_a(header: dict) -> dict:
+    header["hashes"][0]["a"] = 6.5
+    return header
+
+
+def _nan_in_payload(values):
+    values[3] = np.nan
+    return values
+
+
+MALFORMED_SNAPSHOTS = {
+    # a version 1 document: one JSON line, tables as base64 strings inside it
+    "version_1": lambda h, v: (json.dumps(dict(h, version=1, tables=[])) + "\n").encode(),
+    "payload_8_bytes_short": lambda h, v: join_snapshot(h, v)[:-8],
+    "padded_by_one_byte": lambda h, v: join_snapshot(h, v) + b"\0",
+    "header_only": lambda h, v: join_snapshot(h, v[:0]),
+    "nan_in_payload": lambda h, v: join_snapshot(h, _nan_in_payload(v)),
+    "fractional_hash_a": lambda h, v: join_snapshot(_fractional_a(h), v),
+    "negative_events_seen": lambda h, v: join_snapshot(dict(h, events_seen=-5), v),
+    "fractional_events_seen": lambda h, v: join_snapshot(dict(h, events_seen=2.7), v),
+    "negative_stream_l1": lambda h, v: join_snapshot(dict(h, stream_l1=-3.0), v),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+@pytest.mark.parametrize("command", ["query", "merge"])
+def test_malformed_snapshot_is_data_error(tmp_path, command, case):
+    stream_path, _ = write_random(tmp_path, "s.events", seed=4)
+    snap = tmp_path / "sk.snap"
+    assert run_cli(["build", stream_path, str(snap)])[0] == 0
+    snap.write_bytes(MALFORMED_SNAPSHOTS[case](*split_snapshot(snap.read_bytes())))
+    out_path = tmp_path / "m.snap"
+    tail = ["1"] if command == "query" else ["--out", str(out_path)]
+    code, out, err = run_cli([command, str(snap), *tail])
+    assert code == 2 and out == "" and "data error" in err
+    assert not out_path.exists()
+    if case == "version_1":
+        assert "unsupported snapshot version 1" in err
+
+
+@pytest.mark.parametrize("command", ["build", "heavy"])
+def test_unhashable_alphabet_is_data_error_and_bad_flags_usage_errors(tmp_path, command):
+    huge = tmp_path / "huge.events"
+    huge.write_text(f"alphabet_size={2**62}\n1.0\t5\n")
+    good, _ = write_random(tmp_path, "s.events", seed=3)
+    rest = [str(tmp_path / "x.snap")] if command == "build" else ["--rho", "1"]
+    code, out, err = run_cli([command, str(huge), *rest])
+    assert code == 2 and out == "" and "data error" in err and "2**61" in err
+    bad_flag = ["--epsilon", "3"] if command == "build" else ["--rho", "-1"]
+    code, out, err = run_cli([command, good, *rest, *bad_flag])
+    assert code == 1 and out == "" and "usage error" in err
 
 
 def test_build_rejects_bad_epsilon(tmp_path):

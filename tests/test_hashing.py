@@ -47,6 +47,14 @@ def test_affine_hash_validation():
         AffineHash(a=1, b=0, p=7, n=0)
 
 
+
+@pytest.mark.parametrize(
+    "params", [dict(a=6.5), dict(b=0.0), dict(p=7.0), dict(n=3.0), dict(a=True), dict(n=True)]
+)
+def test_affine_hash_parameters_must_be_integers(params):
+    with pytest.raises(ValueError, match="integers"):
+        AffineHash(**{"a": 1, "b": 0, "p": 7, "n": 3, **params})
+
 def test_identity_style_hash():
     # a=1, b=0 with n >= p acts as the identity on [0, p)
     h = AffineHash(a=1, b=0, p=101, n=101)

@@ -1,5 +1,4 @@
-import base64
-import copy
+import hashlib
 import itertools
 import json
 import math
@@ -26,7 +25,14 @@ from ordersketch.hashing import (
     smallest_prime_geq,
 )
 
-from util import PlainCountMin, hash_word, random_stream, stream_features
+from util import (
+    PlainCountMin,
+    hash_word,
+    join_snapshot,
+    random_stream,
+    split_snapshot,
+    stream_features,
+)
 
 KINDS = [EventMapKind.LINEAR, EventMapKind.EXP]
 
@@ -384,15 +390,13 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
 
 def test_snapshot_rejects_foreign_payloads():
     sk = OrderSketch.from_parameters(0.5, 0.25, 1, EventMapKind.LINEAR, 4, seed=0)
-    import json
-
-    doc = json.loads(sk.to_snapshot())
-    bad_fmt = dict(doc, format="something-else")
+    header, values = split_snapshot(sk.to_snapshot())
+    bad_fmt = dict(header, format="something-else")
     with pytest.raises(ValueError, match="snapshot"):
-        OrderSketch.from_snapshot(json.dumps(bad_fmt).encode())
-    bad_ver = dict(doc, version=99)
+        OrderSketch.from_snapshot(join_snapshot(bad_fmt, values))
+    bad_ver = dict(header, version=99)
     with pytest.raises(ValueError, match="version"):
-        OrderSketch.from_snapshot(json.dumps(bad_ver).encode())
+        OrderSketch.from_snapshot(join_snapshot(bad_ver, values))
 
 
 def test_snapshot_query_survives_round_trip():
@@ -405,21 +409,34 @@ def test_snapshot_query_survives_round_trip():
         assert back.query(w) == sk.query(w)
 
 
-def snapshot_doc() -> dict:
-    """A decoded snapshot of a sketch with five tables of depth 2."""
+def test_snapshot_layout_is_pinned():
+    # header line, then every table's levels 0..depth as raw <f8; a layout
+    # change must bump SNAPSHOT_VERSION and this digest together
+    sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.EXP, 4, seed=3)
+    sk.extend(Stream.from_events([(1.0, 0), (0.5, 3), (2.0, 1), (0.25, 0)], 4))
+    data = sk.to_snapshot()
+    header, _ = split_snapshot(data)
+    assert header["version"] == 2 and "tables" not in header
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    levels = [level.astype("<f8").tobytes() for t in sk.tables for level in t.levels]
+    assert data == b"".join([head, b"\n", *levels])
+    assert hashlib.sha256(data).hexdigest() == (
+        "c4004af515edfd945c6b8fbc4ca2c58e3239f263392d89c2ff9ae99bfcc7dbb2"
+    )
+
+
+def snapshot_doc() -> tuple[dict, np.ndarray]:
+    """The header and payload values of a sketch with five tables of depth 2
+    (21 values per table: levels of 1, 4 and 16 coordinates)."""
     sk = OrderSketch.from_parameters(0.5, 0.05, 2, EventMapKind.EXP, 6, seed=1)
     sk.extend(Stream.from_events([(1.0, 0), (2.0, 3), (0.5, 5)], 6))
-    doc = json.loads(sk.to_snapshot())
-    assert doc["hash_count"] == 5 and doc["bucket_count"] == 4
-    return doc
+    header, values = split_snapshot(sk.to_snapshot())
+    assert header["hash_count"] == 5 and header["bucket_count"] == 4 and values.size == 105
+    return header, values
 
 
-def load_doc(doc: dict) -> OrderSketch:
-    return OrderSketch.from_snapshot(json.dumps(doc).encode())
-
-
-def f8_blob(values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def load_doc(header: dict, values) -> OrderSketch:
+    return OrderSketch.from_snapshot(join_snapshot(header, values))
 
 
 @pytest.mark.parametrize(
@@ -436,55 +453,78 @@ def f8_blob(values) -> str:
         "hashes",
         "seed",
         "stream_l1",
-        "tables",
+        "tables",  # the payload, which holds the tables
     ],
 )
 def test_snapshot_missing_key_is_value_error(key):
-    doc = snapshot_doc()
-    del doc[key]
+    header, values = snapshot_doc()
+    if key == "tables":
+        values = values[:0]
+    else:
+        del header[key]
     with pytest.raises(ValueError, match=key):
-        load_doc(doc)
+        load_doc(header, values)
 
 
 def test_snapshot_table_count_must_agree():
-    doc = snapshot_doc()
-    load_doc(doc)
+    header, values = snapshot_doc()
+    load_doc(header, values)
     for bad in (
-        dict(doc, tables=doc["tables"][:1]),
-        dict(doc, hashes=doc["hashes"][:4]),
-        dict(doc, hash_count=4),
+        (header, values[:21]),
+        (dict(header, hashes=header["hashes"][:4]), values),
+        (dict(header, hash_count=4), values),
     ):
         with pytest.raises(ValueError):
-            load_doc(bad)
+            load_doc(*bad)
 
 
 def test_snapshot_tables_need_every_level():
-    doc = snapshot_doc()
-    for table, levels in ((0, []), (2, doc["tables"][2][:2])):
-        bad = copy.deepcopy(doc)
-        bad["tables"][table] = levels
+    header, values = snapshot_doc()
+    # table 0 without any level; table 2 without level 2
+    for bad in (values[21:], np.delete(values, np.arange(42 + 5, 63))):
         with pytest.raises(ValueError, match="levels"):
-            load_doc(bad)
+            load_doc(header, bad)
 
 
 def test_snapshot_level_lengths_must_match_buckets():
-    doc = snapshot_doc()
-    short = copy.deepcopy(doc)
-    short["tables"][1][2] = f8_blob(np.zeros(15))
-    narrow_hashes = dict(doc, hashes=[dict(h, n=3) for h in doc["hashes"]])
-    for bad in (short, narrow_hashes):
+    header, values = snapshot_doc()
+    short = np.delete(values, 21 + 5)  # table 1's level 2 holds 15 values
+    narrow_hashes = dict(header, hashes=[dict(h, n=3) for h in header["hashes"]])
+    for bad in ((header, short), (narrow_hashes, values)):
         with pytest.raises(ValueError):
-            load_doc(bad)
+            load_doc(*bad)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"depth": 2.0},
+        {"bucket_count": "4"},
+        # a huge depth must be refused without listing its level sizes
+        {"depth": 10**9},
+        {"depth": 10**9, "bucket_count": 1},
+        {"depth": 10**9, "bucket_count": -2},
+    ],
+)
+def test_snapshot_header_values_are_checked(changes):
+    # the CLI cases in test_cli.py cover the hash parameters, events_seen and stream_l1
+    header, values = snapshot_doc()
+    with pytest.raises(ValueError, match="integer|payload"):
+        load_doc(dict(header, **changes), values)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_snapshot_non_finite_values_rejected(value):
-    doc = snapshot_doc()
-    in_table = copy.deepcopy(doc)
-    in_table["tables"][3][1] = f8_blob([0.0, value, 1.0, 2.0])
-    for bad in (in_table, dict(doc, stream_l1=value), dict(doc, epsilon=value)):
+    header, values = snapshot_doc()
+    in_table = values.copy()
+    in_table[63 + 2] = value  # table 3, level 1, coordinate 1
+    for bad in (
+        (header, in_table),
+        (dict(header, stream_l1=value), values),
+        (dict(header, epsilon=value), values),
+    ):
         with pytest.raises(ValueError, match="finite"):
-            load_doc(bad)
+            load_doc(*bad)
 
 
 # -- dense pullback ---------------------------------------------------------------

@@ -74,8 +74,6 @@ def test_stream_basics():
     assert len(s) == 2
     assert s.total_mass() == 3.5
     assert [tuple(e) for e in s] == [(1.0, 0), (2.5, 1)]
-    joined = s.concat(s.slice(1, 2))
-    assert len(joined) == 3 and joined.letters[-1] == 1
 
 
 def test_scale_stream():

@@ -4,6 +4,7 @@ an in-process CLI runner."""
 from __future__ import annotations
 
 import io
+import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, combinations_with_replacement
@@ -31,6 +32,17 @@ def scale_stream(stream: Stream, c: float) -> Stream:
     if not c > 0:
         raise ValueError("scale factor must be positive")
     return Stream(stream.lambdas * float(c), stream.letters, stream.alphabet_size)
+
+
+def split_snapshot(data: bytes) -> tuple[dict, np.ndarray]:
+    """The JSON header and the float64 payload values of snapshot bytes."""
+    head, payload = data.split(b"\n", 1)
+    return json.loads(head), np.frombuffer(payload, dtype="<f8").copy()
+
+
+def join_snapshot(header: dict, values) -> bytes:
+    """Snapshot bytes from a header and payload values (written as ``<f8``)."""
+    return json.dumps(header).encode() + b"\n" + np.asarray(values, dtype="<f8").tobytes()
 
 
 def hash_word(h, word) -> tuple:
