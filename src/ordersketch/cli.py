@@ -25,8 +25,9 @@ from .experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from .features import NonFiniteError, features_from_arrays
-from .sketch import CandidateCapError, OrderSketch, mine_heavy_patterns
+from .features import features_from_arrays
+from .sketch import (CandidateCapError, NonFiniteError, OrderSketch, _require_finite,
+                     mine_heavy_patterns)
 from .tensor import GradedTensor, Stream, word_from_index, word_from_text, word_index, word_to_text
 
 EXIT_OK = 0
@@ -233,9 +234,7 @@ def cmd_exact(args) -> int:
             f" the cap of {args.max_coordinates}; raise --max-coordinates to override"
         )
     phi = GradedTensor.unit(n, args.depth)
-    features_from_arrays(stream.lambdas, stream.letters, phi, args.event_map)
-    if not all(np.isfinite(level).all() for level in phi.levels):
-        raise DataError("exact features overflow float64")
+    _require_finite([features_from_arrays(stream.lambdas, stream.letters, phi, args.event_map)])
     _emit(
         {
             "record": "exact",

@@ -27,6 +27,7 @@ from .hashing import (
     AffineHash,
     HashFamilySpec,
     _is_int,
+    _is_number,
     derive_seed,
     sample_hashes,
     smallest_prime_geq,
@@ -244,10 +245,6 @@ def _is_count(value) -> bool:
     return _is_int(value) and value >= 1
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_grid(is_item):
     """A check that a value is a non-empty list or tuple of items passing ``is_item``."""
     return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(is_item, v))
@@ -297,12 +294,6 @@ class ExperimentOneRow:
     events_per_sec: float
 
 
-def _memory_ratio(alphabet_size: int, bucket_count: int, hash_count: int, depth: int) -> float:
-    exact_coords = sum(alphabet_size**m for m in range(1, depth + 1))
-    table_coords = hash_count * sum(bucket_count**m for m in range(1, depth + 1))
-    return exact_coords / table_coords
-
-
 def run_experiment_1(config: ExperimentOneConfig) -> list:
     """Sweep (bucket_count, hash_count) cells; one row per cell with the
     median error and throughput over the repetitions."""
@@ -336,9 +327,7 @@ def run_experiment_1(config: ExperimentOneConfig) -> list:
         return ExperimentOneRow(
             bucket_count=sk.bucket_count,
             hash_count=sk.hash_count,
-            memory_ratio=_memory_ratio(
-                config.alphabet_size, sk.bucket_count, sk.hash_count, config.depth
-            ),
+            memory_ratio=(exact.coordinate_count() - 1) / sk.coordinate_count(),
             median_error=median(errors),
             events_per_sec=median(rates),
         )

@@ -31,6 +31,9 @@ coordinate is 0 could let an estimate fall below the true count.  A chunk
 holds ``_CHUNK_BYTES / (8 n)`` events.
 
 Depth >= 4 folds one event at a time with `apply_event_inplace`.
+
+At every depth an overflow does not raise: it leaves inf or NaN in ``phi``
+for the caller to check.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ import math
 import numpy as np
 
 from .tensor import Event, GradedTensor, Stream
-
-
-class NonFiniteError(ValueError):
-    """A fold, product or decoded table left the finite float64 range."""
 
 
 class EventMapKind(str, enum.Enum):
@@ -61,8 +60,6 @@ def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
     ``levels[m][rep_k :: n**k]`` adds onto exactly the words whose last k
     letters equal the event letter.  Work is O(sum_{m<M} n^m) for linear and
     O(M * sum_{m<M} n^m) for exp; no full-size temporary is allocated.
-    A coefficient ``lam**k / k!`` that overflows float64 raises
-    NonFiniteError before ``phi`` is touched.
     """
     kind = EventMapKind(kind)
     lam, letter = float(event[0]), int(event[1])
@@ -70,10 +67,7 @@ def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
         return
     n = phi.alphabet_size
     top_k = phi.depth if kind is EventMapKind.EXP else 1
-    try:
-        coeffs = [lam**k / math.factorial(k) for k in range(top_k + 1)]
-    except OverflowError as exc:
-        raise NonFiniteError(f"event weight {lam!r} overflows float64") from exc
+    coeffs = [np.float64(lam) ** k / math.factorial(k) for k in range(top_k + 1)]
     for m in range(phi.depth, 0, -1):
         for k in range(1, min(m, top_k) + 1):
             rep = sum(letter * n**j for j in range(k))
@@ -88,10 +82,9 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
     and return ``phi``, which becomes ``phi * features(stream)``.
 
     Weights and letters are checked as :class:`Stream` checks them, raising
-    its ValueError, before ``phi`` is touched.  An overflow is not undone:
-    at depth <= 3 non-finite values land in ``phi``, and at depth >= 4
-    NonFiniteError leaves ``phi`` part-folded.  Callers that must stay
-    unchanged on failure fold a copy, as `OrderSketch.extend` does.
+    its ValueError, before ``phi`` is touched.  An overflow does not raise: it
+    leaves non-finite values in ``phi``, so callers that must stay unchanged
+    on failure fold a copy and check it, as `OrderSketch.extend` does.
     """
     kind = EventMapKind(kind)
     stream = Stream(lambdas, letters, phi.alphabet_size)

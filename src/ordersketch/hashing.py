@@ -86,6 +86,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """A decorrelated child seed for run ``index`` of a seeded experiment."""
     gen = _SplitMix64((seed & _MASK64) ^ ((index + 1) * 0xD1B54A32D192ED03 & _MASK64))

@@ -32,8 +32,10 @@ sense; false positives are controlled by the tail bound above.
 
 Snapshots serialize the full sketch state as one self-describing, versioned
 JSON header line followed by the tables as raw little-endian float64, and
-round-trip bit-exactly.  Tables must stay finite: `extend`, merging and
-snapshot encoding and decoding raise ValueError on a non-finite value.
+round-trip bit-exactly.  Tables must stay finite, and one check owns that
+rule: `extend`, the constructor (so merging and decoding) and encoding
+raise its `NonFiniteError`, a ValueError, on an overflow or a NaN.  The fold
+never raises, at any depth; `extend` checks its result.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .features import EventMapKind, NonFiniteError, features_from_arrays
+from .features import EventMapKind, features_from_arrays
 from .hashing import (
     PRNG_ID,
     AffineHash,
     HashFamilySpec,
     _is_int,
+    _is_number,
     eval_hash_array,
     sample_hashes,
 )
@@ -65,11 +68,15 @@ class CandidateCapError(RuntimeError):
     """Raised when an enumeration of words or coordinates would exceed its cap."""
 
 
+class NonFiniteError(ValueError):
+    """A table or parameter holds inf or NaN: a float64 overflow or a NaN input."""
+
+
 def _require_finite(tables: list, *scalars: float) -> None:
     if not all(map(math.isfinite, scalars)) or not all(
         np.isfinite(level).all() for table in tables for level in table.levels
     ):
-        raise NonFiniteError("sketch holds a non-finite value (float64 overflow)")
+        raise NonFiniteError("non-finite value (an overflow or a NaN)")
 
 
 @dataclass
@@ -105,6 +112,8 @@ class OrderSketch:
             raise ValueError("hashes must share p and bucket count")
         self.depth, self.alphabet_size = int(self.depth), int(self.alphabet_size)
         self.seed, self.kind = int(self.seed), EventMapKind(self.kind)
+        if self.hashes[0].p < self.alphabet_size:
+            raise ValueError(f"hash prime {self.hashes[0].p} is below the alphabet size")
         buckets = self.hashes[0].n
         if self.epsilon is None:
             self.epsilon = 2.0 / buckets
@@ -116,10 +125,14 @@ class OrderSketch:
             raise ValueError(f"{len(self.tables)} tables for {len(self.hashes)} hashes")
         if any((t.alphabet_size, t.depth) != (buckets, self.depth) for t in self.tables):
             raise ValueError(f"tables must have {buckets} buckets and depth {self.depth}")
-        _require_finite(self.tables, self.stream_l1, self.epsilon, self.delta)
-        if not (_is_int(self.events_seen) and self.events_seen >= 0 and self.stream_l1 >= 0):
-            raise ValueError(f"need an integer events_seen >= 0 and stream_l1 >= 0, not"
-                             f" {self.events_seen!r} and {self.stream_l1!r}")
+        scalars = (self.epsilon, self.delta, self.stream_l1)
+        if not all(map(_is_number, scalars)):
+            raise ValueError(f"epsilon, delta and stream_l1 must be numbers, not {scalars}")
+        _require_finite(self.tables, *scalars)
+        if not (self.epsilon > 0 and 0 < self.delta < 1 and self.stream_l1 >= 0):
+            raise ValueError(f"need epsilon > 0, 0 < delta < 1, stream_l1 >= 0, not {scalars}")
+        if not (_is_int(self.events_seen) and self.events_seen >= 0):
+            raise ValueError(f"events_seen must be an integer >= 0, not {self.events_seen!r}")
 
     @classmethod
     def from_parameters(
@@ -161,19 +174,19 @@ class OrderSketch:
 
     def coordinate_count(self) -> int:
         """Total stored coordinates across tables, levels 1..depth."""
-        per_table = sum(self.bucket_count**m for m in range(1, self.depth + 1))
-        return self.hash_count * per_table
+        return sum(table.coordinate_count() - 1 for table in self.tables)
 
     # -- updates -----------------------------------------------------------
 
     def update(self, lam: float, letter: int) -> None:
-        """Feed one event: :meth:`extend` with a one-event stream."""
+        """Feed one event: :meth:`extend` with a one-event stream.  Each call
+        pays for a whole `extend`; bulk callers should use `extend`."""
         self.extend(Stream.from_events([(lam, letter)], self.alphabet_size))
 
     def extend(self, stream: Stream) -> None:
         """Feed a whole stream: `features_from_arrays` folds the letterwise-
-        hashed stream into a copy of each table.  Raises ValueError, leaving
-        the sketch unchanged, when the fold overflows float64."""
+        hashed stream into a copy of each table.  Raises NonFiniteError,
+        leaving the sketch unchanged, when the fold overflows float64."""
         if stream.alphabet_size != self.alphabet_size:
             raise ValueError("stream alphabet does not match sketch")
         tables = [
@@ -292,8 +305,8 @@ class OrderSketch:
             tables = [GradedTensor(buckets, depth, np.split(row, np.cumsum(sizes)[:-1]))
                       for row in rows]
             return cls(hashes, depth, doc["event_map"], doc["alphabet_size"], doc["seed"],
-                       epsilon=float(doc["epsilon"]), delta=float(doc["delta"]), tables=tables,
-                       events_seen=doc["events_seen"], stream_l1=float(doc["stream_l1"]))
+                       epsilon=doc["epsilon"], delta=doc["delta"], tables=tables,
+                       events_seen=doc["events_seen"], stream_l1=doc["stream_l1"])
         except KeyError as exc:
             raise ValueError(f"snapshot lacks key {exc}") from exc
         except TypeError as exc:

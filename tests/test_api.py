@@ -118,3 +118,20 @@ def test_every_export_has_a_caller():
     files += (ROOT / "demos").glob("*.py")
     used = set().union(*map(_names_used, files))
     assert set(ordersketch.__all__) - used == set()
+
+
+def test_one_module_owns_the_finite_value_rule():
+    # the fold raises nothing of its own; one class, in sketch.py, is the rule's error
+    import ordersketch.features as features
+    import ordersketch.sketch as sketch
+
+    assert not [v for v in vars(features).values() if isinstance(v, type)
+                and issubclass(v, BaseException) and v.__module__ == features.__name__]
+    owners = [
+        path.name
+        for path in sorted((ROOT / "src" / "ordersketch").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == "NonFiniteError"
+    ]
+    assert owners == ["sketch.py"]
+    assert issubclass(sketch.NonFiniteError, ValueError)

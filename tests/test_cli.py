@@ -151,6 +151,10 @@ def test_query_bad_words_flag_and_continue(tmp_path):
     assert errors == {"1.2.3", "banana"}
 
 
+# the one message of every overflow, at every depth and from every command
+OVERFLOW_ERROR = "ordersketch: data error: non-finite value (an overflow or a NaN)"
+
+
 def test_build_overflow_is_data_error(tmp_path):
     path = tmp_path / "big.events"
     write_stream_file(Stream.from_events([(1e200, 0), (1e200, 1)], 2), path)
@@ -158,6 +162,7 @@ def test_build_overflow_is_data_error(tmp_path):
     with pytest.warns(RuntimeWarning):
         code, out, err = run_cli(["build", str(path), str(snap), "--depth", "2"])
     assert code == 2 and out == "" and "data error" in err
+    assert OVERFLOW_ERROR in err
     assert not snap.exists()
 
 
@@ -168,12 +173,17 @@ def overflow_file(tmp_path) -> str:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("depth,event_map", [("2", "linear"), ("3", "linear"), ("3", "exp")])
+@pytest.mark.parametrize(
+    "depth,event_map",
+    [("2", "linear"), ("3", "linear"), ("3", "exp"), ("4", "linear"), ("4", "exp"),
+     ("5", "exp")],
+)
 def test_exact_overflow_is_data_error(tmp_path, depth, event_map):
     # no coordinate records: a non-finite value is not valid JSON
     path = overflow_file(tmp_path)
     code, out, err = run_cli(["exact", path, "--depth", depth, "--event-map", event_map])
     assert code == 2 and out == "" and "data error" in err
+    assert OVERFLOW_ERROR in err
 
 
 def test_exact_negative_depth_is_usage_error(example_file):
@@ -181,19 +191,24 @@ def test_exact_negative_depth_is_usage_error(example_file):
     assert code == 1 and out == "" and "usage error" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_build_depth_three_overflow_is_data_error(tmp_path):
-    snap = tmp_path / "big.json"
-    code, out, err = run_cli(["build", overflow_file(tmp_path), str(snap), "--depth", "3"])
-    assert code == 2 and out == "" and "data error" in err
-    assert not snap.exists()
+    # depth 3 folds in chunks and depth >= 4 event by event; both fail alike
+    for depth in ("3", "4", "5"):
+        snap = tmp_path / f"big{depth}.json"
+        code, out, err = run_cli(["build", overflow_file(tmp_path), str(snap), "--depth", depth])
+        assert code == 2 and out == "" and "data error" in err
+        assert OVERFLOW_ERROR in err, depth
+        assert not snap.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("depth", ["2", "3"])
+@pytest.mark.parametrize("depth", ["2", "3", "4", "5"])
 def test_heavy_overflow_is_data_error(tmp_path, depth):
     path = overflow_file(tmp_path)
     code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth])
     assert code == 2 and out == "" and "data error" in err
+    assert OVERFLOW_ERROR in err
     # a bad flag is still a usage error on the same file
     code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth, "--epsilon", "3"])
     assert code == 1 and out == "" and "usage error" in err
@@ -276,6 +291,11 @@ def _nan_in_payload(values):
     return values
 
 
+def _hash_prime_below_alphabet(header: dict) -> dict:
+    header["alphabet_size"] = header["hashes"][0]["p"] + 1  # letter p is outside [0, p)
+    return header
+
+
 MALFORMED_SNAPSHOTS = {
     # a version 1 document: one JSON line, tables as base64 strings inside it
     "version_1": lambda h, v: (json.dumps(dict(h, version=1, tables=[])) + "\n").encode(),
@@ -287,6 +307,12 @@ MALFORMED_SNAPSHOTS = {
     "negative_events_seen": lambda h, v: join_snapshot(dict(h, events_seen=-5), v),
     "fractional_events_seen": lambda h, v: join_snapshot(dict(h, events_seen=2.7), v),
     "negative_stream_l1": lambda h, v: join_snapshot(dict(h, stream_l1=-3.0), v),
+    "string_epsilon": lambda h, v: join_snapshot(dict(h, epsilon="0.5"), v),
+    "string_stream_l1": lambda h, v: join_snapshot(dict(h, stream_l1="3"), v),
+    "bool_delta": lambda h, v: join_snapshot(dict(h, delta=True), v),
+    "negative_epsilon": lambda h, v: join_snapshot(dict(h, epsilon=-1), v),
+    "delta_above_one": lambda h, v: join_snapshot(dict(h, delta=7), v),
+    "hash_prime_below_alphabet": lambda h, v: join_snapshot(_hash_prime_below_alphabet(h), v),
 }
 
 
@@ -304,6 +330,8 @@ def test_malformed_snapshot_is_data_error(tmp_path, command, case):
     assert not out_path.exists()
     if case == "version_1":
         assert "unsupported snapshot version 1" in err
+    if case == "nan_in_payload":
+        assert "NaN" in err
 
 
 @pytest.mark.parametrize("command", ["build", "heavy"])

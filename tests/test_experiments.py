@@ -5,6 +5,7 @@ import pytest
 
 from ordersketch import (
     EventMapKind,
+    GradedTensor,
     OrderSketch,
     Stream,
     dense_pullback,
@@ -22,7 +23,6 @@ from ordersketch.experiments import (
     run_experiment_1,
     run_experiment_2,
     train_linear_classifier,
-    _memory_ratio,
 )
 
 from util import stream_features
@@ -226,9 +226,18 @@ def test_classifier_constant_column_tolerated():
 # -- experiment one ----------------------------------------------------------------
 
 
+def memory_ratio(alphabet_size, bucket_count, hash_count, depth):
+    """Exact coordinates of levels 1..depth per stored table coordinate."""
+    exact_coords = sum(alphabet_size**m for m in range(1, depth + 1))
+    return exact_coords / (hash_count * sum(bucket_count**m for m in range(1, depth + 1)))
+
+
 def test_memory_ratio_formula():
-    assert _memory_ratio(100, 4, 2, 2) == pytest.approx(10100 / 40)
-    assert _memory_ratio(100, 100, 1, 2) == pytest.approx(1.0)
+    assert memory_ratio(100, 4, 2, 2) == pytest.approx(10100 / 40)
+    assert memory_ratio(100, 100, 1, 2) == pytest.approx(1.0)
+    # the two counts experiment one divides
+    sk = OrderSketch(sample_hashes(HashFamilySpec(100, 4, 0), 2), 2, EventMapKind.EXP, 100)
+    assert (GradedTensor.unit(100, 2).coordinate_count() - 1, sk.coordinate_count()) == (10100, 40)
 
 
 def test_experiment_one_defaults_pin_the_headline_run():
@@ -257,7 +266,7 @@ def test_experiment_one_small_grid():
         assert math.isfinite(row.median_error) and row.median_error > 0
         assert row.events_per_sec > 0
         assert row.memory_ratio == pytest.approx(
-            _memory_ratio(20, row.bucket_count, row.hash_count, 2)
+            memory_ratio(20, row.bucket_count, row.hash_count, 2)
         )
     # more hash draws extend the same per-repetition prefix, so error can
     # only move down for every bucket count
@@ -281,7 +290,7 @@ def test_experiment_one_identity_row_is_exact():
     identity = rows[-1]
     assert identity.bucket_count == 16 and identity.hash_count == 1
     assert identity.median_error == 0.0
-    assert identity.memory_ratio == pytest.approx(_memory_ratio(16, 16, 1, 2))
+    assert identity.memory_ratio == pytest.approx(memory_ratio(16, 16, 1, 2))
 
 
 # -- experiment two ----------------------------------------------------------------

@@ -317,3 +317,11 @@ def test_fold_rejects_bad_events_before_touching_phi(kind, depth):
         assert str(got.value) == str(want.value)
         for level, old in zip(phi.levels, before.levels):
             assert np.array_equal(level, old)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", KINDS)
+def test_depth_four_overflow_lands_in_phi_without_raising(kind):
+    # as at depth <= 3, the per-event step leaves the overflow for the caller's check
+    phi = features_from_arrays([1e200, 1e200], [0, 1], GradedTensor.unit(2, 4), kind)
+    assert not all(np.isfinite(level).all() for level in phi.levels)

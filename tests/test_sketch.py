@@ -73,6 +73,27 @@ def test_with_hashes_validation():
         OrderSketch([], 2, EventMapKind.EXP, 10)
     with pytest.raises(ValueError):
         OrderSketch([h1, h2], 2, EventMapKind.EXP, 10)
+    with pytest.raises(ValueError, match="below the alphabet size"):
+        OrderSketch([h1], 2, EventMapKind.EXP, 12)  # letter 11 would hash outside [0, p)
+    assert OrderSketch([h1], 2, EventMapKind.EXP, 11).alphabet_size == 11
+
+
+@pytest.mark.parametrize(
+    "changes,needle",
+    [
+        ({"epsilon": "0.5"}, "numbers"),
+        ({"delta": True}, "numbers"),
+        ({"stream_l1": "3"}, "numbers"),
+        ({"epsilon": -1}, "epsilon > 0"),
+        ({"epsilon": 0.0}, "epsilon > 0"),
+        ({"delta": 7}, "delta < 1"),
+        ({"delta": 0.0}, "delta < 1"),
+    ],
+)
+def test_constructor_checks_accuracy_parameters(changes, needle):
+    hashes = sample_hashes(HashFamilySpec(10, 8, 3), 2)
+    with pytest.raises(ValueError, match=needle):
+        OrderSketch(hashes, 2, "exp", 10, **changes)
 
 
 def test_constructor_defaults_follow_table_shape():
