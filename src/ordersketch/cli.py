@@ -225,6 +225,8 @@ def cmd_heavy(args) -> int:
 def cmd_exact(args) -> int:
     if args.depth < 0:
         raise UsageError("depth must be >= 0")
+    if args.max_coordinates < 0:
+        raise UsageError(f"max_coordinates must be >= 0, not {args.max_coordinates}")
     stream = read_stream_file(args.stream)
     n = stream.alphabet_size
     coords = sum(n**m for m in range(args.depth + 1))

@@ -39,20 +39,8 @@ class LinearFunctional:
     def from_word(cls, word) -> LinearFunctional:
         return cls({tuple(int(a) for a in word): 1.0})
 
-    def coefficient(self, word) -> float:
-        return self.terms.get(tuple(word), 0.0)
-
     def max_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
-
-    def __add__(self, other: LinearFunctional) -> LinearFunctional:
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0.0) + c
-        return LinearFunctional(out)
-
-    def scale(self, c: float) -> LinearFunctional:
-        return LinearFunctional({w: c * v for w, v in self.terms.items()})
 
 
 def pairing(ell: LinearFunctional, phi: GradedTensor) -> float:

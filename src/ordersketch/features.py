@@ -32,8 +32,8 @@ holds ``_CHUNK_BYTES / (8 n)`` events.
 
 Depth >= 4 folds one event at a time with `apply_event_inplace`.
 
-At every depth an overflow does not raise: it leaves inf or NaN in ``phi``
-for the caller to check.
+At every depth an overflow neither raises nor warns: it leaves inf or NaN
+in ``phi`` for the caller to check.
 """
 
 from __future__ import annotations
@@ -77,14 +77,15 @@ def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
 _CHUNK_BYTES = 2 * 1024 * 1024  # per (alphabet, chunk) float64 array of the kernel
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks phi for inf and NaN
 def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTensor:
     """Fold the stream given by weight/letter arrays into ``phi`` in place
     and return ``phi``, which becomes ``phi * features(stream)``.
 
     Weights and letters are checked as :class:`Stream` checks them, raising
-    its ValueError, before ``phi`` is touched.  An overflow does not raise: it
-    leaves non-finite values in ``phi``, so callers that must stay unchanged
-    on failure fold a copy and check it, as `OrderSketch.extend` does.
+    its ValueError, before ``phi`` is touched.  An overflow neither raises
+    nor warns: it leaves inf or NaN in ``phi``, so callers that must stay
+    unchanged on failure fold a copy and check it, as `OrderSketch.extend` does.
     """
     kind = EventMapKind(kind)
     stream = Stream(lambdas, letters, phi.alphabet_size)

@@ -133,7 +133,8 @@ def eval_hash_array(h: AffineHash, xs: np.ndarray) -> np.ndarray:
     if h.p < (1 << 31):
         # a*x + b < 2**62 fits int64 exactly
         vals = (np.int64(h.a) * xs + np.int64(h.b)) % np.int64(h.p)
-        return (vals % np.int64(h.n)).astype(np.int64)
+        vals %= np.int64(h.n)
+        return vals
     return np.array([eval_hash(h, int(x)) for x in xs], dtype=np.int64)
 
 

@@ -23,12 +23,12 @@ sized from an accuracy target (`OrderSketch.from_parameters`).  Estimates
 are read with `OrderSketch.query_many`, one batch of equal-length words at a
 time; `OrderSketch.query` and `dense_pullback` read through it.
 
-`mine_heavy_patterns` runs the one-pass heavy-pattern search: letters whose
-running estimate ever exceeds a threshold ``rho`` are retained, and after
-the pass every word over the retained letters (up to the sketch depth) whose
-estimate reaches ``rho ** len(word)`` is reported.  Overestimation makes the
-survivor set a superset of the words that are truly heavy in that scaled
-sense; false positives are controlled by the tail bound above.
+`mine_heavy_patterns` folds the stream once, retains the letters whose
+estimate, a level-1 counter read at the end of a chunk that holds them,
+exceeds a threshold ``rho``, and reports every word over them (up to the
+sketch depth) whose estimate reaches ``rho ** len(word)``.  Overestimation
+makes the survivor set a superset of the words that are truly heavy in that
+scaled sense; false positives are controlled by the tail bound above.
 
 Snapshots serialize the full sketch state as one self-describing, versioned
 JSON header line followed by the tables as raw little-endian float64, and
@@ -329,7 +329,7 @@ def dense_pullback(
     in lexicographic order, with one :meth:`OrderSketch.query_many` call, so
     every coordinate equals :meth:`OrderSketch.query` of its word.  Raises
     :class:`CandidateCapError` when the words of length 1..depth number
-    more than ``max_coordinates``.
+    more than ``max_coordinates``, and ValueError when that cap is negative.
     """
     if letters is None:
         letters = np.arange(sketch.alphabet_size)
@@ -337,6 +337,8 @@ def dense_pullback(
     k = letters.size
     if k and (letters.min() < 0 or letters.max() >= sketch.alphabet_size):
         raise ValueError("letter outside the sketch alphabet")
+    if max_coordinates < 0:
+        raise ValueError(f"max_coordinates must be >= 0, not {max_coordinates}")
     total = sum(k**m for m in range(1, sketch.depth + 1))
     if total > max_coordinates:
         raise CandidateCapError(
@@ -375,35 +377,42 @@ def mine_heavy_patterns(
 ) -> tuple[OrderSketch, dict]:
     """One pass, one sketch, any number of thresholds.
 
-    The stream is ingested in chunks; after each chunk every letter occurring
-    in it is tested against each threshold with its current estimate, and
-    letters that ever pass stay retained (estimates only grow, so a letter
-    hot at its last occurrence is hot at the chunk boundary too).  After the
-    pass, the estimates of the words of length 1..depth over the retained
-    letters are read with :func:`dense_pullback` per threshold; a threshold
-    whose candidate count would exceed ``candidate_cap`` raises
-    :class:`CandidateCapError`.  Thresholds must be finite and positive.
+    The stream is folded once.  A letter is retained for a threshold when its
+    estimate at the end of a ``chunk_size``-event chunk (an integer >= 1) that
+    holds it exceeds the threshold; estimates only grow, so the chunk of its
+    last occurrence decides.  That estimate is the min over tables of a
+    level-1 counter, the cumsum over chunks of ``bincount(chunk * B + bucket,
+    lam)``: the numbers a fold per chunk adds, in its order.  The words of
+    length 1..depth over the retained letters are then read with
+    :func:`dense_pullback` per threshold, raising :class:`CandidateCapError`
+    past ``candidate_cap`` (>= 0).  Thresholds must be finite and positive.
     """
     rhos = [float(r) for r in thresholds]
     if not rhos:
         raise ValueError("need at least one threshold")
     if not all(math.isfinite(rho) and rho > 0 for rho in rhos):
         raise ValueError("thresholds must be finite and > 0")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    if not (_is_int(chunk_size) and chunk_size >= 1):
+        raise ValueError(f"chunk_size must be an integer >= 1, not {chunk_size!r}")
+    if candidate_cap < 0:
+        raise ValueError(f"candidate_cap must be >= 0, not {candidate_cap}")
     sketch = OrderSketch.from_parameters(epsilon, delta, depth, kind, stream.alphabet_size, seed)
-    hot: dict = {rho: set() for rho in rhos}
-    for start in range(0, len(stream), chunk_size):
-        chunk = stream.slice(start, start + chunk_size)
-        sketch.extend(chunk)
-        seen = np.unique(chunk.letters)
-        estimates = sketch.query_many(seen[:, None])
-        for rho in rhos:
-            hot[rho].update(seen[estimates > rho].tolist())
+    sketch.extend(stream)
+    seen, last = np.unique(stream.letters[::-1], return_index=True)  # last occurrences
+    last_chunk = (len(stream) - 1 - last) // chunk_size
+    buckets, chunks = sketch.bucket_count, -(-len(stream) // chunk_size)
+    row = np.arange(len(stream)) // chunk_size * buckets
+    estimate = np.full(seen.size, np.inf)
+    for h in sketch.hashes:
+        at = eval_hash_array(h, stream.letters)
+        at += row
+        counters = np.bincount(at, stream.lambdas, chunks * buckets).reshape(chunks, buckets)
+        at_end = counters.cumsum(axis=0)[last_chunk, eval_hash_array(h, seen)]
+        np.minimum(estimate, at_end, out=estimate)
 
     results = {}
     for rho in rhos:
-        letters = tuple(sorted(hot[rho]))
+        letters = tuple(seen[estimate > rho].tolist())
         kept: dict = {}
         if letters:
             pulled = dense_pullback(sketch, letters, candidate_cap)

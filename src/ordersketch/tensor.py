@@ -168,6 +168,7 @@ class GradedTensor:
         return sum(arr.size for arr in self.levels)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks for inf and NaN
 def truncated_product(x: GradedTensor, y: GradedTensor) -> GradedTensor:
     """Graded (concatenation) product, truncated at the shared depth.
 

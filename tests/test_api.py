@@ -7,7 +7,7 @@ import inspect
 from pathlib import Path
 
 import ordersketch
-from ordersketch import OrderSketch
+from ordersketch import EventMapKind, OrderSketch, Stream
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +76,20 @@ def test_sketch_has_one_sizing_classmethod():
 def test_extend_takes_only_a_stream():
     params = list(inspect.signature(OrderSketch.extend).parameters)
     assert params == ["self", "stream"]
+
+
+def test_mining_folds_the_stream_once(monkeypatch):
+    calls = []
+    extend = OrderSketch.extend
+
+    def counting(self, stream):
+        calls.append(len(stream))
+        extend(self, stream)
+
+    monkeypatch.setattr(OrderSketch, "extend", counting)
+    stream = Stream.from_events([(1.0, i % 5) for i in range(100)], 5)
+    ordersketch.mine_heavy_patterns(stream, [3.0], 0.5, 0.25, 2, EventMapKind.EXP, 0, chunk_size=8)
+    assert calls == [100]
 
 
 def test_features_from_arrays_folds_onto_a_tensor():

@@ -155,14 +155,13 @@ def test_query_bad_words_flag_and_continue(tmp_path):
 OVERFLOW_ERROR = "ordersketch: data error: non-finite value (an overflow or a NaN)"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_build_overflow_is_data_error(tmp_path):
     path = tmp_path / "big.events"
     write_stream_file(Stream.from_events([(1e200, 0), (1e200, 1)], 2), path)
     snap = tmp_path / "big.json"
-    with pytest.warns(RuntimeWarning):
-        code, out, err = run_cli(["build", str(path), str(snap), "--depth", "2"])
-    assert code == 2 and out == "" and "data error" in err
-    assert OVERFLOW_ERROR in err
+    code, out, err = run_cli(["build", str(path), str(snap), "--depth", "2"])
+    assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n")
     assert not snap.exists()
 
 
@@ -172,7 +171,7 @@ def overflow_file(tmp_path) -> str:
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "depth,event_map",
     [("2", "linear"), ("3", "linear"), ("3", "exp"), ("4", "linear"), ("4", "exp"),
@@ -182,8 +181,7 @@ def test_exact_overflow_is_data_error(tmp_path, depth, event_map):
     # no coordinate records: a non-finite value is not valid JSON
     path = overflow_file(tmp_path)
     code, out, err = run_cli(["exact", path, "--depth", depth, "--event-map", event_map])
-    assert code == 2 and out == "" and "data error" in err
-    assert OVERFLOW_ERROR in err
+    assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n")
 
 
 def test_exact_negative_depth_is_usage_error(example_file):
@@ -191,24 +189,42 @@ def test_exact_negative_depth_is_usage_error(example_file):
     assert code == 1 and out == "" and "usage error" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exact_negative_max_coordinates_is_usage_error(example_file):
+    code, out, err = run_cli(["exact", example_file, "--max-coordinates", "-1"])
+    assert (code, out) == (1, "") and "usage error: max_coordinates must be >= 0" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_build_depth_three_overflow_is_data_error(tmp_path):
     # depth 3 folds in chunks and depth >= 4 event by event; both fail alike
     for depth in ("3", "4", "5"):
         snap = tmp_path / f"big{depth}.json"
         code, out, err = run_cli(["build", overflow_file(tmp_path), str(snap), "--depth", depth])
-        assert code == 2 and out == "" and "data error" in err
-        assert OVERFLOW_ERROR in err, depth
+        assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n"), depth
         assert not snap.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_merge_overflow_is_data_error(tmp_path):
+    # each snapshot is finite; the product's level 2 holds 1.5e154**2 > float64 max
+    snaps = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.events"
+        write_stream_file(Stream.from_events([(1.5e154, 0)], 2), path)
+        snaps.append(str(tmp_path / f"{name}.snap"))
+        assert run_cli(["build", str(path), snaps[-1], "--depth", "2"])[0] == 0
+    out_path = tmp_path / "merged.snap"
+    code, out, err = run_cli(["merge", *snaps, "--out", str(out_path)])
+    assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("depth", ["2", "3", "4", "5"])
 def test_heavy_overflow_is_data_error(tmp_path, depth):
     path = overflow_file(tmp_path)
     code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth])
-    assert code == 2 and out == "" and "data error" in err
-    assert OVERFLOW_ERROR in err
+    assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n")
     # a bad flag is still a usage error on the same file
     code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth, "--epsilon", "3"])
     assert code == 1 and out == "" and "usage error" in err
@@ -396,6 +412,12 @@ def test_heavy_candidate_cap_exit_code(tmp_path):
     )
     assert code == 3
     assert "resource guard" in err
+
+
+def test_heavy_negative_candidate_cap_is_usage_error(tmp_path):
+    path = heavy_stream_file(tmp_path)
+    code, out, err = run_cli(["heavy", path, "--rho", "100", "--candidate-cap", "-5"])
+    assert (code, out) == (1, "") and "usage error: candidate_cap must be >= 0" in err
 
 
 @pytest.mark.parametrize("rho", ["-1", "0"])

@@ -319,7 +319,7 @@ def test_fold_rejects_bad_events_before_touching_phi(kind, depth):
             assert np.array_equal(level, old)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", KINDS)
 def test_depth_four_overflow_lands_in_phi_without_raising(kind):
     # as at depth <= 3, the per-event step leaves the overflow for the caller's check

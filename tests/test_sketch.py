@@ -29,6 +29,7 @@ from util import (
     PlainCountMin,
     hash_word,
     join_snapshot,
+    mine_by_chunks,
     random_stream,
     split_snapshot,
     stream_features,
@@ -289,23 +290,25 @@ def test_depth_one_is_classical_count_min():
             assert sk.query((a,)) == ref.query(a)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extend_overflow_raises_and_keeps_sketch():
     sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.EXP, 3, seed=0)
     sk.extend(Stream.from_events([(1.0, 0), (2.0, 1)], 3))
     before = [t.copy() for t in sk.tables]
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         sk.extend(Stream.from_events([(1e200, 1), (1e200, 2)], 3))
     assert (sk.events_seen, sk.stream_l1) == (2, 3.0)
     for t, b in zip(sk.tables, before):
         assert t.allclose(b, rtol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_update_product_overflow_raises_and_keeps_sketch():
     # the coefficients are finite; 1e200 * 1e200 overflows in the level-2 fold
     sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.LINEAR, 3, seed=0)
     sk.update(1e200, 0)
     before = [t.copy() for t in sk.tables]
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         sk.update(1e200, 1)
     assert (sk.events_seen, sk.stream_l1) == (1, 1e200)
     for t, b in zip(sk.tables, before):
@@ -589,6 +592,8 @@ def test_dense_pullback_size_guard():
     sk = OrderSketch.from_parameters(0.5, 0.25, 2, EventMapKind.EXP, 2000, seed=0)
     with pytest.raises(CandidateCapError):
         dense_pullback(sk, max_coordinates=100_000)
+    with pytest.raises(ValueError, match="max_coordinates must be >= 0"):
+        dense_pullback(sk, (), max_coordinates=-1)
 
 
 # -- heavy patterns ----------------------------------------------------------------
@@ -681,8 +686,62 @@ def test_mining_rejects_bad_arguments():
     s = planted_stream()
     with pytest.raises(ValueError):
         mine_heavy_patterns(s, [], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0)
-    with pytest.raises(ValueError):
-        mine_heavy_patterns(s, [10.0], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0, chunk_size=0)
+    for chunk_size in (0, 2.5, True):
+        with pytest.raises(ValueError, match="chunk_size"):
+            mine_heavy_patterns(
+                s, [10.0], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0, chunk_size=chunk_size
+            )
+    with pytest.raises(ValueError, match="candidate_cap"):
+        mine_heavy_patterns(s, [10.0], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0,
+                            candidate_cap=-1)
+
+
+MINING_ARGS = (1 / 8, 0.25)  # epsilon, delta: 16 buckets and 2 tables
+
+
+def dyadic_stream(seed: int, length: int) -> Stream:
+    # weights 3k/8: every sum and product the fold forms, and the exp map's
+    # lam**3 / 6, is exact, so any grouping of the events gives the same bits
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return Stream(3 / 8 * rng.integers(1, 9, length), rng.integers(0, 12, length), 12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mining_matches_the_chunked_refold(kind, depth):
+    for s in (dyadic_stream(depth, 200), dyadic_stream(depth, 0)):
+        once = OrderSketch.from_parameters(*MINING_ARGS, depth, kind, 12, seed=4)
+        once.extend(s)
+        final = np.sort(once.query_many(np.arange(12)[:, None]))
+        rhos = [float(final[i] + final[i + 1]) / 2 if len(s) else 1.0 for i in (2, 5, 9)]
+        for chunk_size in (1, 3, 64, len(s) or 5, len(s) + 5):
+            args = (s, rhos, *MINING_ARGS, depth, kind, 4)
+            sketch, results = mine_heavy_patterns(*args, chunk_size=chunk_size)
+            _, want = mine_by_chunks(*args, chunk_size=chunk_size)
+            assert results == want, chunk_size  # hot letters and estimates, bit for bit
+            for got, ref in zip(sketch.tables, once.tables):
+                assert all(map(np.array_equal, got.levels, ref.levels))
+            assert (sketch.events_seen, sketch.stream_l1) == (once.events_seen, once.stream_l1)
+        if len(s):  # one chunk: the thresholds leave 9, 6 and 2 of the final estimates hot
+            assert [len(r.hot_letters) for r in results.values()] == [9, 6, 2]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mining_hot_sets_match_the_chunked_refold_for_any_weights(kind):
+    # counters at chunk ends add the per-chunk fold's numbers in its order;
+    # only the final tables, folded in one go, may differ in the last bits
+    rng = np.random.Generator(np.random.PCG64(8))
+    s = Stream(rng.exponential(1.0, 400), rng.integers(0, 12, 400), 12)
+    for chunk_size in (1, 7, 64, 400):
+        args = (s, [10.0, 25.0], *MINING_ARGS, 2, kind, 5)
+        _, results = mine_heavy_patterns(*args, chunk_size=chunk_size)
+        _, want = mine_by_chunks(*args, chunk_size=chunk_size)
+        for rho, res in results.items():
+            assert res.hot_letters == want[rho].hot_letters
+            assert res.estimates.keys() == want[rho].estimates.keys()
+            for word, estimate in res.estimates.items():
+                assert estimate == pytest.approx(want[rho].estimates[word], rel=1e-14)
+        assert results[10.0].hot_letters
 
 
 @pytest.mark.parametrize("rho", [-1.0, 0.0, math.inf, math.nan])

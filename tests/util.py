@@ -11,7 +11,16 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ordersketch import EventMapKind, GradedTensor, Stream, eval_hash
+from ordersketch import (
+    EventMapKind,
+    GradedTensor,
+    HeavyPatternResult,
+    OrderSketch,
+    Stream,
+    dense_pullback,
+    eval_hash,
+    word_from_index,
+)
 from ordersketch.cli import main as cli_main
 from ordersketch.features import apply_event_inplace
 
@@ -56,6 +65,35 @@ def stream_features(stream: Stream, kind, depth: int) -> GradedTensor:
     for event in stream:
         apply_event_inplace(phi, event, kind)
     return phi
+
+
+def mine_by_chunks(stream: Stream, thresholds, epsilon, delta, depth, kind, seed,
+                   chunk_size: int) -> tuple:
+    """Reference heavy-pattern search that re-folds per chunk: `extend` the
+    sketch by each ``chunk_size``-event slice, then test the slice's letters
+    against every threshold with `query_many`.  Same return value as
+    `mine_heavy_patterns`, which folds once and reads counters instead."""
+    sketch = OrderSketch.from_parameters(epsilon, delta, depth, kind, stream.alphabet_size, seed)
+    hot: dict = {rho: set() for rho in thresholds}
+    for start in range(0, len(stream), chunk_size):
+        chunk = stream.slice(start, start + chunk_size)
+        sketch.extend(chunk)
+        seen = np.unique(chunk.letters)
+        estimates = sketch.query_many(seen[:, None])
+        for rho in thresholds:
+            hot[rho].update(seen[estimates > rho].tolist())
+    results = {}
+    for rho in thresholds:
+        letters = tuple(sorted(hot[rho]))
+        kept = {}
+        if letters:
+            pulled = dense_pullback(sketch, letters)
+            for m in range(1, depth + 1):
+                for j in np.flatnonzero(pulled.levels[m] >= rho**m).tolist():
+                    word = tuple(letters[i] for i in word_from_index(m, j, len(letters)))
+                    kept[word] = float(pulled.levels[m][j])
+        results[rho] = HeavyPatternResult(rho, depth, letters, kept)
+    return sketch, results
 
 
 def event_polynomial(event, kind, alphabet_size: int, depth: int) -> GradedTensor:
