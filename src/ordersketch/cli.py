@@ -5,7 +5,9 @@ sorted keys; human summaries and timings go to stderr.  Randomized commands
 rerun with the same ``--seed`` therefore produce byte-identical stdout.
 
 Stream files are plain text: a first line ``alphabet_size=N`` (N below
-2**61) followed by one ``<weight><TAB><letter>`` line per event.
+2**61) followed by one ``<weight><TAB><letter>`` line per event. Blank and
+whitespace-only lines are skipped, CRLF line ends are accepted, and the
+first malformed line is reported by its line number.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource guard.
 """
@@ -16,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -59,20 +62,73 @@ def _note(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
+_EVENT_ROW = np.dtype([("w", "<f8"), ("a", "<i8")])
+# numpy's number parser skips these as spaces; the line loop ends a line at all
+# but the last (str.splitlines), and its float() and int() reject the last
+_NUMPY_ONLY_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def read_stream_file(path: str) -> Stream:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            parsed = _parse_with_numpy(path, fh)
+            if parsed is None:  # the line loop accepts the unusual files and names the bad line
+                fh.seek(0)
+                parsed = _parse_lines(path, fh.read().splitlines())
     except OSError as exc:
         raise DataError(f"cannot read stream file {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("alphabet_size="):
+    alphabet_size, lams, lets = parsed
+    try:
+        return Stream(np.array(lams), np.array(lets, dtype=np.int64), alphabet_size)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a letter past int64
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _parse_with_numpy(path: str, fh):
+    """``(alphabet_size, weights, letters)`` from numpy's C reader, or None.
+
+    None means the file may read differently under :func:`_parse_lines`: a
+    header it might split or reject, a character that numpy reads as a space
+    and the loop does not, or a body that numpy's reader rejects or warns
+    about. Every file accepted here gives the loop's arrays bit for bit.
+    numpy reads ``fh`` as a handle, never the path, so it cannot pick a
+    decompressor from the file's suffix.
+    """
+    try:
+        header = fh.readline().splitlines()
+        if len(header) != 1:
+            return None
+        alphabet_size = _parse_header(path, header[0])
+        body = fh.tell()
+        while chunk := fh.read(1 << 20):
+            if any(c in chunk for c in _NUMPY_ONLY_SPACES):
+                return None
+        fh.seek(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the empty-input warning, numpy 1.x's "5.0" as an int
+            rows = np.loadtxt(fh, delimiter="\t", dtype=_EVENT_ROW, comments=None,
+                              quotechar=None, ndmin=1)
+    except (DataError, ValueError, Warning):
+        return None
+    return alphabet_size, rows["w"], rows["a"]
+
+
+def _parse_header(path: str, line: str) -> int:
+    if not line.startswith("alphabet_size="):
         raise DataError(f"{path}:1: expected header alphabet_size=N")
     try:
-        alphabet_size = int(lines[0].split("=", 1)[1])
+        alphabet_size = int(line.split("=", 1)[1])
     except ValueError as exc:
         raise DataError(f"{path}:1: malformed alphabet size") from exc
     if alphabet_size >= 1 << 61:  # past the hash family's domain, so past every sketch
         raise DataError(f"{path}:1: alphabet size must be below 2**61")
+    return alphabet_size
+
+
+def _parse_lines(path: str, lines: list) -> tuple:
+    if not lines:
+        raise DataError(f"{path}:1: expected header alphabet_size=N")
+    alphabet_size = _parse_header(path, lines[0])
     lams, lets = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -85,10 +141,7 @@ def read_stream_file(path: str) -> Stream:
             lets.append(int(parts[1]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed event") from exc
-    try:
-        return Stream(np.array(lams), np.array(lets, dtype=np.int64), alphabet_size)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a letter past int64
-        raise DataError(f"{path}: {exc}") from exc
+    return alphabet_size, lams, lets
 
 
 def write_stream_file(stream: Stream, path: str) -> None:

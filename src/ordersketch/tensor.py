@@ -115,8 +115,13 @@ class Stream:
             yield Event(lam, letter)
 
     def total_mass(self) -> float:
-        """The l1 mass of the stream: sum of all event weights."""
-        return float(self.lambdas.sum())
+        """The l1 mass of the stream: sum of all event weights.
+
+        A sum past float64 is ``inf`` without a warning; the sketch's
+        finiteness check reports it.
+        """
+        with np.errstate(over="ignore"):
+            return float(self.lambdas.sum())
 
     def slice(self, start: int, stop: int) -> Stream:
         return Stream(self.lambdas[start:stop], self.letters[start:stop], self.alphabet_size)

@@ -52,6 +52,9 @@ def test_stream_file_errors_carry_line_numbers(tmp_path):
         "bad_weight.events": ("alphabet_size=4\n1.0\t0\nx\t1\n", ":3: malformed event"),
         "bad_letter.events": ("alphabet_size=4\n1.0\t9\n", "letter"),
         "int64_letter.events": ("alphabet_size=4\n1.0\t9223372036854775808\n", "too large"),
+        # numpy's reader accepts the first and rejects the second; the loop names the line
+        "form_feed.events": ("alphabet_size=4\n1\t0\n\n1.0\x0c\t2\n", ":4: expected weight<TAB>"),
+        "float_letter.events": ("alphabet_size=4\n1\t0\n1_0\t1\n2\t5.0\n", ":4: malformed event"),
     }
     for name, (content, needle) in cases.items():
         path = tmp_path / name
@@ -155,20 +158,21 @@ def test_query_bad_words_flag_and_continue(tmp_path):
 OVERFLOW_ERROR = "ordersketch: data error: non-finite value (an overflow or a NaN)"
 
 
+def overflow_file(tmp_path, weight=1e200) -> str:
+    # 1e200 overflows the fold from depth 2 on; 1e308 already overflows the weight sum
+    path = tmp_path / f"big{weight:.0e}.events"
+    write_stream_file(Stream.from_events([(weight, 0), (weight, 1)], 2), path)
+    return str(path)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_build_overflow_is_data_error(tmp_path):
-    path = tmp_path / "big.events"
-    write_stream_file(Stream.from_events([(1e200, 0), (1e200, 1)], 2), path)
-    snap = tmp_path / "big.json"
-    code, out, err = run_cli(["build", str(path), str(snap), "--depth", "2"])
-    assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n")
-    assert not snap.exists()
-
-
-def overflow_file(tmp_path) -> str:
-    path = tmp_path / "big.events"
-    write_stream_file(Stream.from_events([(1e200, 0), (1e200, 1)], 2), path)
-    return str(path)
+    for weight, depth in ((1e200, "2"), (1e308, "1"), (1e308, "2")):
+        snap = tmp_path / "big.json"
+        code, out, err = run_cli(["build", overflow_file(tmp_path, weight), str(snap),
+                                  "--depth", depth])
+        assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n"), (weight, depth)
+        assert not snap.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -220,14 +224,15 @@ def test_merge_overflow_is_data_error(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("depth", ["2", "3", "4", "5"])
+@pytest.mark.parametrize("depth", ["1", "2", "3", "4", "5"])
 def test_heavy_overflow_is_data_error(tmp_path, depth):
-    path = overflow_file(tmp_path)
-    code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth])
-    assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n")
-    # a bad flag is still a usage error on the same file
-    code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth, "--epsilon", "3"])
-    assert code == 1 and out == "" and "usage error" in err
+    for weight in (1e308,) if depth == "1" else (1e200, 1e308):
+        path = overflow_file(tmp_path, weight)
+        code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth])
+        assert (code, out, err) == (2, "", OVERFLOW_ERROR + "\n"), weight
+        # a bad flag is still a usage error on the same file
+        code, out, err = run_cli(["heavy", path, "--rho", "1", "--depth", depth, "--epsilon", "3"])
+        assert code == 1 and out == "" and "usage error" in err
 
 
 def test_build_unwritable_snapshot_is_data_error(tmp_path, example_file):

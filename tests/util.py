@@ -21,6 +21,7 @@ from ordersketch import (
     eval_hash,
     word_from_index,
 )
+from ordersketch.cli import DataError
 from ordersketch.cli import main as cli_main
 from ordersketch.features import apply_event_inplace
 
@@ -229,6 +230,41 @@ def expand_by_positions(u: tuple, v: tuple, infiltration: bool) -> dict:
                     word = tuple(w)
                     out[word] = out.get(word, 0) + 1
     return out
+
+
+def read_stream_file_by_lines(path: str) -> Stream:
+    """The stream-file reader as a plain line loop: the reference that
+    ``ordersketch.cli.read_stream_file`` must match bit for bit, message for
+    message."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read stream file {path}: {exc}") from exc
+    if not lines or not lines[0].startswith("alphabet_size="):
+        raise DataError(f"{path}:1: expected header alphabet_size=N")
+    try:
+        alphabet_size = int(lines[0].split("=", 1)[1])
+    except ValueError as exc:
+        raise DataError(f"{path}:1: malformed alphabet size") from exc
+    if alphabet_size >= 1 << 61:
+        raise DataError(f"{path}:1: alphabet size must be below 2**61")
+    lams, lets = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected weight<TAB>letter")
+        try:
+            lams.append(float(parts[0]))
+            lets.append(int(parts[1]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed event") from exc
+    try:
+        return Stream(np.array(lams), np.array(lets, dtype=np.int64), alphabet_size)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def run_cli(args) -> tuple:
