@@ -448,6 +448,9 @@ def main(argv=None) -> int:
     except CandidateCapError as exc:
         _note(f"ordersketch: resource guard: {exc}")
         return EXIT_RESOURCE
+    except MemoryError as exc:  # a table too large to allocate
+        _note(f"ordersketch: resource guard: out of memory: {exc}")
+        return EXIT_RESOURCE
     except ValueError as exc:
         _note(f"ordersketch: data error: {exc}")
         return EXIT_DATA

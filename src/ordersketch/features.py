@@ -3,14 +3,12 @@
 A stream ``(lam_1, a_1), ..., (lam_L, a_L)`` is folded into a truncated
 graded tensor by multiplying one small tensor per event:
 
-* ``linear``: the event tensor is ``1 + lam * a``.  The coordinate of a word
-  ``w`` in the product is the weighted count of ``w`` as a subsequence, i.e.
-  the sum of ``lam(i_1) * ... * lam(i_m)`` over strictly increasing index
-  tuples whose letters spell ``w``.
-* ``exp``: the event tensor is ``exp(lam * a)`` truncated at the depth.  The
-  coordinate of ``w`` sums over weakly increasing index tuples instead, each
-  divided by the product of ``(run length)!`` over maximal runs of equal
-  consecutive indices.
+* ``linear``: the event tensor is ``1 + lam * a``; a word's coordinate in
+  the product, its weighted count as a subsequence, sums ``lam(i_1) * ... *
+  lam(i_m)`` over strictly increasing index tuples whose letters spell it.
+* ``exp``: the event tensor is ``exp(lam * a)`` truncated at the depth; the
+  sum runs over weakly increasing tuples, each divided by the product of
+  ``(run length)!`` over maximal runs of equal consecutive indices.
 
 `features_from_arrays(lambdas, letters, phi, kind)` is the one fold: it
 multiplies ``phi`` in place by the stream's event tensors.  Folded onto the
@@ -18,32 +16,31 @@ unit tensor it builds the stream's features; folded onto a sketch table it
 gives, by Chen's identity, the graded product of the table and the stream's
 features without building the latter.
 
-At depth <= 3 one kernel folds whole chunks of events.  A chunk is a
-weighted one-hot matrix ``w`` of shape ``(n, L)``, one column per event, with
-exclusive prefix sums ``P`` and suffix sums ``S`` along the events.  Its own
-levels are ``F1 = w.sum(1)``, ``F2 = P @ w.T`` and, split at the middle
-event, ``F3[:, v, :] = (P[:, J] * lam[J]) @ S[:, J].T`` over the events
-``J`` with letter ``v``, plus the exp map's diagonal terms.  Chen's identity
-folds the chunk onto ``phi`` in `apply_event_inplace`'s order, so one event
-folds to the same bits.  ``P`` and ``S`` are shifted cumsums,
-``cumsum(w) - w``, not ``total - P - w``, whose +-1e-16 residues where a
-coordinate is 0 could let an estimate fall below the true count.  A chunk
-holds ``_CHUNK_BYTES / (8 n)`` events.
-
-Depth >= 4 folds one event at a time with `apply_event_inplace`.
-
-At every depth an overflow neither raises nor warns: it leaves inf or NaN
-in ``phi`` for the caller to check.
+One kernel folds chunks of ``L`` events at every depth.  A level-m word is
+split at position ``m // 2 + 1``, inside one event ``j``.  If ``j`` covers
+positions ``p+1..p+k`` (``k = 1`` for the linear map), the term is the
+level-p prefix state before ``j``, times ``lam_j**k / k!`` on the run of
+``j``'s letter, times the level-(m-p-k) suffix state after ``j``: per letter
+one matmul, or a ``bincount`` on the diagonal when both states are empty.
+Level 2 is ``P @ w.T`` for the weighted one-hot ``w``, shape ``(n, L)``.
+The states are exclusive sums along the events, ``cumsum(w) - w`` at level 1
+and exact shifted cumsums above, up to level ``depth // 2`` before ``j`` and
+``(depth - 1) // 2`` after; they are exactly 0 where no event on that side
+spells the word, so no estimate undershoots.  Chen's identity folds the
+chunk onto ``phi``.  ``lam**k / k!`` is the running product ``c_{k-1} * (lam
+/ k)``, so every depth overflows at the same weight.  A chunk's largest
+state, ``(n**q, L)``, fills ``_CHUNK_BYTES``; from depth 3 on a chunk holds at
+least ``depth * n`` events, so its Chen fold (``depth * n**depth``) costs no
+more per event than its products (``n**(depth - 1)``).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
-from .tensor import Event, GradedTensor, Stream
+from .tensor import GradedTensor, Stream
 
 
 class EventMapKind(str, enum.Enum):
@@ -51,78 +48,77 @@ class EventMapKind(str, enum.Enum):
     EXP = "exp"
 
 
-def apply_event_inplace(phi: GradedTensor, event: Event, kind) -> None:
-    """Multiply ``phi`` by one event's tensor, in place: the depth >= 4 step
-    of `features_from_arrays`, which checks the letter and weight first.
-
-    Levels are updated in descending order so that each source level is still
-    the pre-event value when read.  Writing into the strided slice
-    ``levels[m][rep_k :: n**k]`` adds onto exactly the words whose last k
-    letters equal the event letter.  Work is O(sum_{m<M} n^m) for linear and
-    O(M * sum_{m<M} n^m) for exp; no full-size temporary is allocated.
-    """
-    kind = EventMapKind(kind)
-    lam, letter = float(event[0]), int(event[1])
-    if lam == 0.0:
-        return
-    n = phi.alphabet_size
-    top_k = phi.depth if kind is EventMapKind.EXP else 1
-    coeffs = [np.float64(lam) ** k / math.factorial(k) for k in range(top_k + 1)]
-    for m in range(phi.depth, 0, -1):
-        for k in range(1, min(m, top_k) + 1):
-            rep = sum(letter * n**j for j in range(k))
-            phi.levels[m][rep :: n**k] += coeffs[k] * phi.levels[m - k]
+_CHUNK_BYTES = 2 * 1024 * 1024  # per state array of the kernel
 
 
-_CHUNK_BYTES = 2 * 1024 * 1024  # per (alphabet, chunk) float64 array of the kernel
+def _chunk_length(n: int, depth: int) -> int:
+    return max(depth * n if depth >= 3 else 1, _CHUNK_BYTES // (8 * n ** max(1, depth // 2)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks phi for inf and NaN
 def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTensor:
     """Fold the stream given by weight/letter arrays into ``phi`` in place
-    and return ``phi``, which becomes ``phi * features(stream)``.
-
-    Weights and letters are checked as :class:`Stream` checks them, raising
-    its ValueError, before ``phi`` is touched.  An overflow neither raises
-    nor warns: it leaves inf or NaN in ``phi``, so callers that must stay
-    unchanged on failure fold a copy and check it, as `OrderSketch.extend` does.
-    """
+    and return ``phi``, which becomes ``phi * features(stream)``.  The arrays
+    are checked as :class:`Stream` checks them, raising its ValueError, before
+    ``phi`` is touched.  An overflow neither raises nor warns: it leaves inf or
+    NaN in ``phi``, so callers that must stay unchanged on failure fold a copy
+    and check it, as `OrderSketch.extend` does."""
     kind = EventMapKind(kind)
     stream = Stream(lambdas, letters, phi.alphabet_size)
-    if phi.depth > 3:
-        for event in stream:
-            apply_event_inplace(phi, event, kind)
-        return phi
-    n, depth, exp = phi.alphabet_size, phi.depth, kind is EventMapKind.EXP
+    n, depth = phi.alphabet_size, phi.depth
+    top_k = depth if kind is EventMapKind.EXP else 1  # the longest run one event fills
     levels = [level.reshape((n,) * m) for m, level in enumerate(phi.levels)]  # views
-    step = max(1, _CHUNK_BYTES // (8 * n))
+    reps = [sum(n**i for i in range(k)) for k in range(depth + 1)]  # v**k sits at v * reps[k]
+    # (level m, prefix level p, run length k) of each split term with a nonempty state
+    terms = [(m, p, k) for m in range(3, depth + 1) for p in range(m // 2 + 1)
+             for k in range(m // 2 + 1 - p, min(m - p, top_k) + 1) if p or m - p - k]
+    step = _chunk_length(n, depth)
+    room = min(step, len(stream))
+    # flat buffers that every chunk reuses through contiguous views; w_buf stays zero
+    w_buf, scratch = np.zeros(n * room), np.empty(n ** (depth // 2) * room * (depth >= 4))
+    ones = np.ones((1, room))  # the level-0 state
+    state_bufs = [[np.empty(n**q * room) for q in range(1, top + 1)]
+                  for top in (depth // 2, (depth - 1) // 2)]  # prefix, suffix
     for start in range(0, len(stream), step):
-        lam = stream.lambdas[start : start + step]
-        let = stream.letters[start : start + step]
-        w = np.zeros((n, lam.size))
-        w[let, np.arange(lam.size)] = lam
-        prefix = np.cumsum(w, axis=1)
-        chunk = [None, prefix[:, -1].copy()]  # the chunk's own levels F1..F3
-        prefix -= w  # exclusive: zero exactly where no earlier event has the letter
-        if exp:
-            half = 0.5 * lam * lam
+        lam, let = stream.lambdas[start : start + step], stream.letters[start : start + step]
+        size, cols = lam.size, np.arange(lam.size)
+        coef = [None, lam]  # lam**k / k!; at k = 2 the bits of 0.5 * lam * lam
+        for k in range(2, top_k + 1):
+            coef.append(coef[-1] * (lam / k))
+        w = w_buf[: n * size].reshape(n, size)
+        w[let, cols] = lam
+        states = [ones[:, :size]], [ones[:, :size]]  # prefix, suffix; by level
+        for forward, bufs, out in zip((True, False), state_bufs, states):
+            for q, buf in enumerate(bufs, start=1):
+                d = w if q == 1 else scratch[: n**q * size].reshape(n**q, size)
+                if q > 1:  # d: what each event adds to the level-q state
+                    d.fill(0)
+                    for k in range(1, min(q, top_k) + 1):  # the run v**k next to a level q-k state
+                        view = (d.reshape(n ** (q - k), n**k, size) if forward else
+                                d.reshape(n**k, n ** (q - k), size).transpose(1, 0, 2))
+                        view[:, let * reps[k], cols] += out[q - k] * coef[k]
+                state = buf[: n**q * size].reshape(n**q, size)
+                seq, acc = (d, state) if forward else (d[:, ::-1], state[:, ::-1])  # event order
+                if q == 1:  # cumsum(w) - w, kept so that outputs stay byte-stable
+                    np.subtract(np.cumsum(seq, axis=1, out=acc), seq, out=acc)
+                else:  # the sum over the events strictly before each one
+                    np.cumsum(seq[:, :-1], axis=1, out=acc[:, 1:])
+                    acc[:, 0] = 0
+                out.append(state)
+        chunk = [None] + [np.zeros((n,) * m) for m in range(1, depth + 1)]  # the chunk's levels
+        for m in range(1, min(depth, top_k) + 1):  # one event fills the whole word
+            chunk[m].reshape(-1)[:: reps[m]] += np.bincount(let, coef[m], minlength=n)
         if depth >= 2:
-            chunk.append(prefix @ w.T)
-            if exp:
-                chunk[2].flat[:: n + 1] += np.bincount(let, half, minlength=n)
-        if depth >= 3:
-            suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] - w
-            f3 = np.zeros((n, n, n))
+            chunk[2] += states[0][1] @ w.T
+        if terms:
             order = np.argsort(let, kind="stable")
-            for at in np.split(order, np.flatnonzero(np.diff(let[order])) + 1):
-                v, p, s = let[at[0]], prefix[:, at], suffix[:, at]  # events with middle letter v
-                f3[:, v, :] = (p * lam[at]) @ s.T
-                if exp:
-                    f3[v, v, :] += half[at] @ s.T
-                    f3[:, v, v] += p @ half[at]
-                    f3[v, v, v] += (lam[at] ** 3).sum() / 6
-            chunk.append(f3)
-        for m in range(depth, 0, -1):  # Chen's identity, level 3 first
+            for at in np.split(order, np.flatnonzero(np.diff(let[order])) + 1):  # one letter
+                pre, suf = ([st[0][:, : at.size], *(s[:, at] for s in st[1:])] for st in states)
+                for m, p, k in terms:
+                    term = (pre[p] * coef[k][at]) @ suf[m - p - k].T
+                    chunk[m].reshape(n**p, n**k, -1)[:, let[at[0]] * reps[k]] += term
+        for m in range(depth, 0, -1):  # Chen's identity, the top level first
             for k in range(m - 1, -1, -1):
                 levels[m] += np.multiply.outer(levels[k], chunk[m - k])
+        w[let, cols] = 0
     return phi

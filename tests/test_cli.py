@@ -419,6 +419,18 @@ def test_heavy_candidate_cap_exit_code(tmp_path):
     assert "resource guard" in err
 
 
+@pytest.mark.parametrize("command", ["build", "heavy"])
+def test_table_too_large_to_allocate_is_resource_guard(tmp_path, example_file, command):
+    # B = 1e6 buckets at depth 3 needs about 8e18 bytes per table: beyond any
+    # address space, so the allocation fails at once under every overcommit policy
+    snap = tmp_path / "huge.snap"
+    args = [example_file, str(snap)] if command == "build" else [example_file, "--rho", "1"]
+    code, out, err = run_cli([command, *args, "--epsilon", "2e-6", "--depth", "3"])
+    assert (code, out) == (3, "")
+    assert err.startswith("ordersketch: resource guard: out of memory") and err.count("\n") == 1
+    assert not snap.exists()
+
+
 def test_heavy_negative_candidate_cap_is_usage_error(tmp_path):
     path = heavy_stream_file(tmp_path)
     code, out, err = run_cli(["heavy", path, "--rho", "100", "--candidate-cap", "-5"])

@@ -15,9 +15,8 @@ from ordersketch import (
     truncated_product,
     word_index,
 )
-from ordersketch.features import apply_event_inplace
-
 from util import (
+    apply_event_inplace,
     brute_force_oracle,
     count_subsequences,
     event_polynomial,
@@ -219,7 +218,7 @@ def test_concat_homomorphism(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_batch_build_matches_fold(kind, depth):
     rng = np.random.Generator(np.random.PCG64(8))
     for length in (0, 1, 7, 200):
@@ -228,23 +227,23 @@ def test_batch_build_matches_fold(kind, depth):
         assert batch.allclose(stream_features(s, kind, depth), rtol=1e-12, atol=1e-12)
 
 
-def seven_event_chunks(monkeypatch, alphabet_size):
-    """Shrink the kernel's byte budget so that a chunk holds 7 events."""
-    monkeypatch.setattr(features_mod, "_CHUNK_BYTES", 8 * alphabet_size * 7)
+def seven_event_chunks(monkeypatch):
+    """Make every chunk of the kernel hold 7 events, at every depth."""
+    monkeypatch.setattr(features_mod, "_chunk_length", lambda n, depth: 7)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_build_chunk_boundaries(kind, monkeypatch):
-    seven_event_chunks(monkeypatch, 4)
+    seven_event_chunks(monkeypatch)
     rng = np.random.Generator(np.random.PCG64(9))
     s = random_stream(rng, 4, 45)
-    for depth in (1, 2, 3):
+    for depth in (1, 2, 3, 4, 5):
         batch = features_from_arrays(s.lambdas, s.letters, GradedTensor.unit(4, depth), kind)
         assert batch.allclose(stream_features(s, kind, depth), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_fold_onto_first_half_equals_whole(kind, depth):
     rng = np.random.Generator(np.random.PCG64(12))
     for length in (1, 9, 200):
@@ -257,10 +256,10 @@ def test_fold_onto_first_half_equals_whole(kind, depth):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
 def test_fold_onto_any_tensor_is_the_product(kind, depth, monkeypatch):
     # level 0 need not be 1; small chunks make the fold span several
-    seven_event_chunks(monkeypatch, 4)
+    seven_event_chunks(monkeypatch)
     rng = np.random.Generator(np.random.PCG64(13))
     for _ in range(5):
         phi = GradedTensor(4, depth, [rng.uniform(0, 2, 4**m) for m in range(depth + 1)])
@@ -271,7 +270,7 @@ def test_fold_onto_any_tensor_is_the_product(kind, depth, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("short_chunks", [False, True])
 def test_fold_zeros_are_exact_and_nothing_is_negative(kind, depth, short_chunks, monkeypatch):
     # A count-min estimate must never undershoot, so a coordinate that is 0
@@ -279,7 +278,7 @@ def test_fold_zeros_are_exact_and_nothing_is_negative(kind, depth, short_chunks,
     # Letter 0 occurs once, first; letter 1 once, last; letter 2 once,
     # inside; letters 3 and 4 fill the rest.
     if short_chunks:
-        seven_event_chunks(monkeypatch, 5)
+        seven_event_chunks(monkeypatch)
     rng = np.random.Generator(np.random.PCG64(15))
     for _ in range(10):
         length = int(rng.integers(4, 13))
@@ -322,6 +321,19 @@ def test_fold_rejects_bad_events_before_touching_phi(kind, depth):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", KINDS)
 def test_depth_four_overflow_lands_in_phi_without_raising(kind):
-    # as at depth <= 3, the per-event step leaves the overflow for the caller's check
-    phi = features_from_arrays([1e200, 1e200], [0, 1], GradedTensor.unit(2, 4), kind)
-    assert not all(np.isfinite(level).all() for level in phi.levels)
+    # as at depth <= 3, the chunk kernel leaves the overflow for the caller's check
+    for depth in (4, 5):
+        phi = features_from_arrays([1e200, 1e200], [0, 1], GradedTensor.unit(2, depth), kind)
+        assert not all(np.isfinite(level).all() for level in phi.levels)
+
+
+def test_coefficients_overflow_at_the_same_weight_at_every_depth():
+    # lam**2 / 2! for lam = 1.5e154 is 1.125e308, below the float64 maximum,
+    # though lam**2 is not: every depth must keep levels 0-2 finite and equal
+    folded = [features_from_arrays([1.5e154], [0], GradedTensor.unit(2, depth), EventMapKind.EXP)
+              for depth in (2, 3, 4, 5)]
+    assert folded[0].levels[2][0] == 0.5 * 1.5e154 * 1.5e154 == pytest.approx(1.125e308)
+    for phi in folded:
+        for m in range(3):
+            assert np.isfinite(phi.levels[m]).all()
+            assert phi.levels[m].tobytes() == folded[0].levels[m].tobytes()

@@ -23,7 +23,6 @@ from ordersketch import (
 )
 from ordersketch.cli import DataError
 from ordersketch.cli import main as cli_main
-from ordersketch.features import apply_event_inplace
 
 
 def four_event_stream() -> Stream:
@@ -58,6 +57,27 @@ def join_snapshot(header: dict, values) -> bytes:
 def hash_word(h, word) -> tuple:
     """Letterwise image of a word."""
     return tuple(eval_hash(h, int(a)) for a in word)
+
+
+def apply_event_inplace(phi: GradedTensor, event, kind) -> None:
+    """Reference fold step: multiply ``phi`` by one event's tensor, in place.
+
+    Levels are updated in descending order so that each source level is still
+    the pre-event value when read.  Writing into the strided slice
+    ``levels[m][rep_k :: n**k]`` adds onto exactly the words whose last k
+    letters equal the event letter.
+    """
+    kind = EventMapKind(kind)
+    lam, letter = float(event[0]), int(event[1])
+    if lam == 0.0:
+        return
+    n = phi.alphabet_size
+    top_k = phi.depth if kind is EventMapKind.EXP else 1
+    coeffs = [np.float64(lam) ** k / math.factorial(k) for k in range(top_k + 1)]
+    for m in range(phi.depth, 0, -1):
+        for k in range(1, min(m, top_k) + 1):
+            rep = sum(letter * n**j for j in range(k))
+            phi.levels[m][rep :: n**k] += coeffs[k] * phi.levels[m - k]
 
 
 def stream_features(stream: Stream, kind, depth: int) -> GradedTensor:
