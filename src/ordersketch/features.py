@@ -22,16 +22,16 @@ positions ``p+1..p+k`` (``k = 1`` for the linear map), the term is the
 level-p prefix state before ``j``, times ``lam_j**k / k!`` on the run of
 ``j``'s letter, times the level-(m-p-k) suffix state after ``j``: per letter
 one matmul, or a ``bincount`` on the diagonal when both states are empty.
-Level 2 is ``P @ w.T`` for the weighted one-hot ``w``, shape ``(n, L)``.
-The states are exclusive sums along the events, ``cumsum(w) - w`` at level 1
-and exact shifted cumsums above, up to level ``depth // 2`` before ``j`` and
-``(depth - 1) // 2`` after; they are exactly 0 where no event on that side
-spells the word, so no estimate undershoots.  Chen's identity folds the
-chunk onto ``phi``.  ``lam**k / k!`` is the running product ``c_{k-1} * (lam
-/ k)``, so every depth overflows at the same weight.  A chunk's largest
-state, ``(n**q, L)``, fills ``_CHUNK_BYTES``; from depth 3 on a chunk holds at
-least ``depth * n`` events, so its Chen fold (``depth * n**depth``) costs no
-more per event than its products (``n**(depth - 1)``).
+Every state is the exact shifted cumsum of what each event adds to it, so
+it is exactly 0 where no event on its side spells the word: no estimate
+undershoots.  A depth builds only what it reads: prefix states to level
+``depth // 2``, suffix states to ``(depth - 1) // 2``, and from depth 2 the
+weighted one-hot ``w``, ``(n, L)``, behind the level-1 states and level 2's
+``P @ w.T``.  Chen's identity folds the chunk onto ``phi``.  ``lam**k /
+k!`` is the running product ``c_{k-1} * (lam / k)``, so every depth
+overflows at the same weight.  The largest state fills ``_CHUNK_BYTES``;
+from depth 3 on a chunk holds at least ``depth * n`` events, so its Chen
+fold (``depth * n**depth``) costs no more per event than its products.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ _CHUNK_BYTES = 2 * 1024 * 1024  # per state array of the kernel
 
 
 def _chunk_length(n: int, depth: int) -> int:
-    return max(depth * n if depth >= 3 else 1, _CHUNK_BYTES // (8 * n ** max(1, depth // 2)))
+    return max(depth * n if depth >= 3 else 1, _CHUNK_BYTES // (8 * n ** (depth // 2)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks phi for inf and NaN
@@ -75,18 +75,20 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
     step = _chunk_length(n, depth)
     room = min(step, len(stream))
     # flat buffers that every chunk reuses through contiguous views; w_buf stays zero
-    w_buf, scratch = np.zeros(n * room), np.empty(n ** (depth // 2) * room * (depth >= 4))
-    ones = np.ones((1, room))  # the level-0 state
+    w_buf = np.zeros(n * room) if depth >= 2 else None
+    scratch = np.empty(n ** (depth // 2) * room * (depth >= 4))
+    ones = np.broadcast_to(1.0, (1, room))  # the level-0 state
     state_bufs = [[np.empty(n**q * room) for q in range(1, top + 1)]
                   for top in (depth // 2, (depth - 1) // 2)]  # prefix, suffix
     for start in range(0, len(stream), step):
         lam, let = stream.lambdas[start : start + step], stream.letters[start : start + step]
-        size, cols = lam.size, np.arange(lam.size)
+        size = lam.size
         coef = [None, lam]  # lam**k / k!; at k = 2 the bits of 0.5 * lam * lam
         for k in range(2, top_k + 1):
             coef.append(coef[-1] * (lam / k))
-        w = w_buf[: n * size].reshape(n, size)
-        w[let, cols] = lam
+        if depth >= 2:
+            w, cols = w_buf[: n * size].reshape(n, size), np.arange(size)
+            w[let, cols] = lam
         states = [ones[:, :size]], [ones[:, :size]]  # prefix, suffix; by level
         for forward, bufs, out in zip((True, False), state_bufs, states):
             for q, buf in enumerate(bufs, start=1):
@@ -99,11 +101,8 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
                         view[:, let * reps[k], cols] += out[q - k] * coef[k]
                 state = buf[: n**q * size].reshape(n**q, size)
                 seq, acc = (d, state) if forward else (d[:, ::-1], state[:, ::-1])  # event order
-                if q == 1:  # cumsum(w) - w, kept so that outputs stay byte-stable
-                    np.subtract(np.cumsum(seq, axis=1, out=acc), seq, out=acc)
-                else:  # the sum over the events strictly before each one
-                    np.cumsum(seq[:, :-1], axis=1, out=acc[:, 1:])
-                    acc[:, 0] = 0
+                np.cumsum(seq[:, :-1], axis=1, out=acc[:, 1:])  # the events strictly before
+                acc[:, 0] = 0
                 out.append(state)
         chunk = [None] + [np.zeros((n,) * m) for m in range(1, depth + 1)]  # the chunk's levels
         for m in range(1, min(depth, top_k) + 1):  # one event fills the whole word
@@ -120,5 +119,6 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
         for m in range(depth, 0, -1):  # Chen's identity, the top level first
             for k in range(m - 1, -1, -1):
                 levels[m] += np.multiply.outer(levels[k], chunk[m - k])
-        w[let, cols] = 0
+        if depth >= 2:
+            w[let, cols] = 0
     return phi

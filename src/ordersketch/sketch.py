@@ -16,7 +16,9 @@ Events reach the tables one way: `OrderSketch.extend` folds the hashed
 stream into a copy of each table with `features_from_arrays`, and
 `OrderSketch.update` is `extend` on a one-event stream.  At depth 1 the fold
 degenerates to ``table[h(a)] += lam`` per event, i.e. a classical count-min
-sketch, bit for bit.
+sketch, bit for bit on integer weights and within one fold chunk (262,144
+events at depth 1); past that, non-integer weights are summed per chunk,
+which can move a counter's last bit.
 
 A sketch is built around a list of hashes (``OrderSketch(hashes, ...)``) or
 sized from an accuracy target (`OrderSketch.from_parameters`).  Estimates
@@ -66,6 +68,16 @@ _HEADER_ATTRIBUTES = ("alphabet_size", "bucket_count", "delta", "depth", "epsilo
 
 class CandidateCapError(RuntimeError):
     """Raised when an enumeration of words or coordinates would exceed its cap."""
+
+
+def _letter_array(letters) -> np.ndarray:
+    """``letters`` as an array; ValueError, before any cast, when it holds
+    bools, floats, complex numbers or strings, which a cast to int64 would
+    silently turn into other letters.  An empty array passes."""
+    array = np.asarray(letters)
+    if array.size and array.dtype.kind in "bfcUS":
+        raise ValueError(f"letters must be integers, not {array.dtype}")
+    return array
 
 
 class NonFiniteError(ValueError):
@@ -211,9 +223,9 @@ class OrderSketch:
         """Estimates of the rows of a ``(k, m)`` int array of words: each
         table hashes the whole array, the hashed rows become offsets into
         level ``m``, and the minimum over tables is taken.  Raises ValueError
-        on a letter outside the alphabet (checked first) or ``m`` above the
-        depth."""
-        words = np.asarray(words)
+        on a non-integer array, a letter outside the alphabet (checked first)
+        or ``m`` above the depth."""
+        words = _letter_array(words)
         if words.ndim != 2:
             raise ValueError(f"words must be a (k, m) array, not shape {words.shape}")
         bad = words[(words < 0) | (words >= self.alphabet_size)]
@@ -329,14 +341,16 @@ def dense_pullback(
     in lexicographic order, with one :meth:`OrderSketch.query_many` call, so
     every coordinate equals :meth:`OrderSketch.query` of its word.  Raises
     :class:`CandidateCapError` when the words of length 1..depth number
-    more than ``max_coordinates``, and ValueError when that cap is negative.
+    more than ``max_coordinates``, and ValueError when that cap is negative
+    or ``letters`` are not integers in the alphabet.
     """
     if letters is None:
         letters = np.arange(sketch.alphabet_size)
-    letters = np.asarray(letters, dtype=np.int64)
+    letters = _letter_array(letters)
     k = letters.size
     if k and (letters.min() < 0 or letters.max() >= sketch.alphabet_size):
         raise ValueError("letter outside the sketch alphabet")
+    letters = letters.astype(np.int64)
     if max_coordinates < 0:
         raise ValueError(f"max_coordinates must be >= 0, not {max_coordinates}")
     total = sum(k**m for m in range(1, sketch.depth + 1))

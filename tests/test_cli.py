@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ def test_stream_file_round_trip(tmp_path, example_file):
 
 def test_stream_file_errors_carry_line_numbers(tmp_path):
     cases = {
+        "empty.events": ("", ":1: expected header"),
         "no_header.events": ("1.0\t0\n", ":1: expected header"),
         "bad_size.events": ("alphabet_size=ten\n", ":1: malformed alphabet size"),
         "bad_sep.events": ("alphabet_size=4\n1.0 0\n", ":2: expected weight<TAB>letter"),
@@ -334,6 +337,7 @@ MALFORMED_SNAPSHOTS = {
     "negative_epsilon": lambda h, v: join_snapshot(dict(h, epsilon=-1), v),
     "delta_above_one": lambda h, v: join_snapshot(dict(h, delta=7), v),
     "hash_prime_below_alphabet": lambda h, v: join_snapshot(_hash_prime_below_alphabet(h), v),
+    "hashes_not_objects": lambda h, v: join_snapshot(dict(h, hashes=[1, 2]), v),
 }
 
 
@@ -353,6 +357,8 @@ def test_malformed_snapshot_is_data_error(tmp_path, command, case):
         assert "unsupported snapshot version 1" in err
     if case == "nan_in_payload":
         assert "NaN" in err
+    if case == "hashes_not_objects":
+        assert "malformed snapshot" in err
 
 
 @pytest.mark.parametrize("command", ["build", "heavy"])
@@ -579,11 +585,14 @@ def test_experiment_rejects_unknown_config_keys(tmp_path):
                     "alphabet_size": 50, "rho": 20, "q_values": [0.3]}),
         ("table1", {"heavy_mass": "x"}),
         ("table2", {"p": "x"}),
+        ("table1", [1]),  # not a JSON object
+        ("table2", None),  # no config file at all
     ],
 )
 def test_experiment_bad_config_field_is_data_error(tmp_path, name, overrides):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(overrides))
+    if overrides is not None:
+        config.write_text(json.dumps(overrides))
     code, out, err = run_cli(["experiment", name, "--config", str(config)])
     assert code == 2 and out == ""
     assert "data error" in err
@@ -622,10 +631,16 @@ def test_records_are_sorted_json_lines(example_file):
 
 
 def test_module_entry_point(tmp_path, example_file):
+    env = dict(os.environ)  # the package runs from the checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "ordersketch", "exact", example_file, "--depth", "1"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=60,
     )
     assert proc.returncode == 0
@@ -635,6 +650,7 @@ def test_module_entry_point(tmp_path, example_file):
         [sys.executable, "-m", "ordersketch", "no-such-command"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=60,
     )
     assert proc.returncode == 1

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -292,6 +293,33 @@ def test_fold_zeros_are_exact_and_nothing_is_negative(kind, depth, short_chunks,
                 nonzero[word_index(word, 5)[1]] = True
             assert np.array_equal(phi.levels[m] != 0, nonzero)
             assert phi.levels[m].min() >= 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_exponential_weights_match_the_reference_fold(kind, depth):
+    # Exp(1) weights put a large event after a small prefix; every state is an
+    # exact shifted cumsum, so no level loses the small prefix to cancellation
+    rng = np.random.Generator(np.random.PCG64(17))
+    for _ in range(100):
+        n, length = int(rng.integers(1, 7)), int(rng.integers(0, 120))
+        s = Stream(rng.exponential(1.0, length), rng.integers(0, n, length), n)
+        phi = features_from_arrays(s.lambdas, s.letters, GradedTensor.unit(n, depth), kind)
+        for got, want in zip(phi.levels, stream_features(s, kind, depth).levels):
+            assert np.array_equal(got != 0, want != 0)
+            nonzero = want != 0
+            assert np.all(np.abs(got - want)[nonzero] <= 2e-15 * want[nonzero])
+
+
+def test_depth_one_is_a_count_min_at_any_bucket_count():
+    rng = np.random.Generator(np.random.PCG64(18))
+    buckets, length = 100_000, 100_000
+    lam, letters = rng.exponential(1.0, length), rng.integers(0, buckets, length)
+    for kind in KINDS:
+        start = time.perf_counter()
+        phi = features_from_arrays(lam, letters, GradedTensor.unit(buckets, 1), kind)
+        assert time.perf_counter() - start < 2.0
+        assert phi.levels[1].tobytes() == np.bincount(letters, lam, buckets).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

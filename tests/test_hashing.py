@@ -43,6 +43,9 @@ def test_affine_hash_validation():
         AffineHash(a=1, b=7, p=7, n=3)  # b out of range
     with pytest.raises(ValueError):
         AffineHash(a=1, b=0, p=6, n=3)  # p not prime
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="prime"):
+            AffineHash(a=1, b=0, p=p, n=3)
     with pytest.raises(ValueError):
         AffineHash(a=1, b=0, p=7, n=0)
 
@@ -78,6 +81,9 @@ def test_eval_hash_array_matches_scalar():
     xs = rng.integers(0, 100003, size=500)
     got = eval_hash_array(h, xs)
     assert got.tolist() == [eval_hash(h, int(x)) for x in xs]
+    for bad in ([100003], [5, -1]):
+        with pytest.raises(ValueError, match=r"outside \[0, p\)"):
+            eval_hash_array(h, np.array(bad))
 
 
 def test_eval_hash_array_large_prime_fallback():

@@ -213,6 +213,16 @@ def test_query_many_errors_match_query():
         sk.query((2**64,))
     with pytest.raises(ValueError, match="shape"):
         sk.query_many(np.arange(3))
+    # a cast would read letter 1 for each of these, or raise a numpy error
+    for word, dtype in [((1.9,), "float64"), ((True,), "bool"), ((1 + 0j,), "complex128"),
+                        (("1",), "<U1"), ((b"1",), "|S1")]:
+        with pytest.raises(ValueError, match=f"letters must be integers, not {dtype}"):
+            sk.query(word)
+        with pytest.raises(ValueError, match="letters must be integers"):
+            sk.query_many([word])
+    with pytest.raises(ValueError, match="letters must be integers"):
+        sk.query_many([[1.5]])
+    assert sk.query_many(np.zeros((0, 2))).shape == (0,)  # no words: nothing to refuse
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
@@ -297,6 +307,8 @@ def test_extend_overflow_raises_and_keeps_sketch():
     before = [t.copy() for t in sk.tables]
     with pytest.raises(ValueError, match="finite"):
         sk.extend(Stream.from_events([(1e200, 1), (1e200, 2)], 3))
+    with pytest.raises(ValueError, match="stream alphabet does not match sketch"):
+        sk.extend(Stream.from_events([(1.0, 3)], 4))
     assert (sk.events_seen, sk.stream_l1) == (2, 3.0)
     for t, b in zip(sk.tables, before):
         assert t.allclose(b, rtol=0)
@@ -584,8 +596,12 @@ def test_dense_pullback_over_letter_subset_matches_query():
     with pytest.raises(CandidateCapError):
         dense_pullback(sk, letters, max_coordinates=3 + 9 + 26)
     assert dense_pullback(sk, letters, max_coordinates=3 + 9 + 27).depth == 3
-    with pytest.raises(ValueError):
-        dense_pullback(sk, (4, 30))
+    for letters in ((4, 30), (4, 2**64)):  # checked before the cast to int64
+        with pytest.raises(ValueError, match="letter outside the sketch alphabet"):
+            dense_pullback(sk, letters)
+    for letters in ([1.7], [True, False], ["4"], np.array([4.0, 17.0])):
+        with pytest.raises(ValueError, match="letters must be integers"):
+            dense_pullback(sk, letters)
 
 
 def test_dense_pullback_size_guard():
@@ -593,7 +609,7 @@ def test_dense_pullback_size_guard():
     with pytest.raises(CandidateCapError):
         dense_pullback(sk, max_coordinates=100_000)
     with pytest.raises(ValueError, match="max_coordinates must be >= 0"):
-        dense_pullback(sk, (), max_coordinates=-1)
+        dense_pullback(sk, (), max_coordinates=-1)  # an empty letter list passes the dtype check
 
 
 # -- heavy patterns ----------------------------------------------------------------

@@ -160,6 +160,9 @@ def test_product_shape_mismatch():
         truncated_product(GradedTensor.unit(2, 2), GradedTensor.unit(3, 2))
     with pytest.raises(ValueError):
         truncated_product(GradedTensor.unit(2, 2), GradedTensor.unit(2, 3))
+    # tensors of different shapes are never close, whatever the tolerance
+    assert not GradedTensor.unit(2, 2).allclose(GradedTensor.unit(3, 2), rtol=1, atol=1)
+    assert not GradedTensor.unit(2, 2).allclose(GradedTensor.unit(2, 3), rtol=1, atol=1)
 
 
 def test_norms():
