@@ -22,21 +22,24 @@ positions ``p+1..p+k`` (``k = 1`` for the linear map), the term is the
 level-p prefix state before ``j``, times ``lam_j**k / k!`` on the run of
 ``j``'s letter, times the level-(m-p-k) suffix state after ``j``: per letter
 one matmul, or a ``bincount`` on the diagonal when both states are empty.
-Every state is the exact shifted cumsum of what each event adds to it, so
-it is exactly 0 where no event on its side spells the word: no estimate
-undershoots.  A depth builds only what it reads: prefix states to level
-``depth // 2``, suffix states to ``(depth - 1) // 2``, and from depth 2 the
-weighted one-hot ``w``, ``(n, L)``, behind the level-1 states and level 2's
-``P @ w.T``.  Chen's identity folds the chunk onto ``phi``.  ``lam**k /
-k!`` is the running product ``c_{k-1} * (lam / k)``, so every depth
-overflows at the same weight.  The largest state fills ``_CHUNK_BYTES``;
-from depth 3 on a chunk holds at least ``depth * n`` events, so its Chen
-fold (``depth * n**depth``) costs no more per event than its products.
+Every state is the exact shifted cumsum of what each event adds to it, so it
+is exactly 0 where no event on its side spells the word: no estimate
+undershoots.  Depth 2 takes level 2, ``lam_i * lam_j`` over pairs ``i < j``,
+from blocks of ``s = max(2, round(sqrt(2n)))`` events: a ``bincount`` of the
+pairs inside blocks, plus the shifted cumsum of the block totals times the
+totals, about ``s/2 + 2n/s`` numbers per event against ``3n`` for ``(n, L)``
+arrays.  From depth 3 the one-hot ``w``, ``(n, L)``, and its prefix ``P``
+feed the states level 3 needs, and blocks were no faster there than ``P @ w.T``.
+Chen's identity folds the chunk onto ``phi``.  ``lam**k / k!`` is
+``c_{k-1} * (lam / k)``, so every depth overflows at the same weight.  The
+largest state fills ``_CHUNK_BYTES``; from depth 3 a chunk holds at least
+``depth * n`` events, so its Chen fold costs no more per event than its matmuls.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -53,6 +56,27 @@ _CHUNK_BYTES = 2 * 1024 * 1024  # per state array of the kernel
 
 def _chunk_length(n: int, depth: int) -> int:
     return max(depth * n if depth >= 3 else 1, _CHUNK_BYTES // (8 * n ** (depth // 2)))
+
+
+def _before(seq, out):
+    """``out[:, j]``, the exact sum of ``seq[:, :j]``: what comes strictly before."""
+    np.cumsum(seq[:, :-1], axis=1, out=out[:, 1:])
+    out[:, 0] = 0
+    return out
+
+
+def _ordered_pairs(lam, let, n: int):
+    """The ``(n, n)`` sums of ``lam_i * lam_j`` at ``(a_i, a_j)`` over ``i < j``."""
+    s = min(lam.size, max(2, round(math.sqrt(2 * n))))  # a short chunk is one block
+    blocks = -(-lam.size // s)
+    # (s, blocks), weight-0 padded; row r holds each block's event r, so pair gathers copy rows
+    lam_b, let_b = (np.concatenate([x, np.zeros(blocks * s - x.size, x.dtype)])
+                    .reshape(blocks, s).T.copy() for x in (lam, let))
+    i, j = np.triu_indices(s, 1)
+    inside = np.bincount((let_b[i] * n + let_b[j]).ravel(), (lam_b[i] * lam_b[j]).ravel(), n * n)
+    totals = np.bincount((let_b * blocks + np.arange(blocks)).ravel(), lam_b.ravel(), n * blocks)
+    totals = totals.reshape(n, blocks)
+    return inside.reshape(n, n) + _before(totals, np.empty_like(totals)) @ totals.T
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks phi for inf and NaN
@@ -75,18 +99,18 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
     step = _chunk_length(n, depth)
     room = min(step, len(stream))
     # flat buffers that every chunk reuses through contiguous views; w_buf stays zero
-    w_buf = np.zeros(n * room) if depth >= 2 else None
+    w_buf = np.zeros(n * room) if depth >= 3 else None
     scratch = np.empty(n ** (depth // 2) * room * (depth >= 4))
     ones = np.broadcast_to(1.0, (1, room))  # the level-0 state
-    state_bufs = [[np.empty(n**q * room) for q in range(1, top + 1)]
-                  for top in (depth // 2, (depth - 1) // 2)]  # prefix, suffix
+    state_bufs = [[np.empty(n**q * room) for q in range(1, top + 1)]  # none at depth 2
+                  for top in (depth // 2 * (depth >= 3), (depth - 1) // 2)]  # prefix, suffix
     for start in range(0, len(stream), step):
         lam, let = stream.lambdas[start : start + step], stream.letters[start : start + step]
         size = lam.size
         coef = [None, lam]  # lam**k / k!; at k = 2 the bits of 0.5 * lam * lam
         for k in range(2, top_k + 1):
             coef.append(coef[-1] * (lam / k))
-        if depth >= 2:
+        if depth >= 3:
             w, cols = w_buf[: n * size].reshape(n, size), np.arange(size)
             w[let, cols] = lam
         states = [ones[:, :size]], [ones[:, :size]]  # prefix, suffix; by level
@@ -100,14 +124,14 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
                                 d.reshape(n**k, n ** (q - k), size).transpose(1, 0, 2))
                         view[:, let * reps[k], cols] += out[q - k] * coef[k]
                 state = buf[: n**q * size].reshape(n**q, size)
-                seq, acc = (d, state) if forward else (d[:, ::-1], state[:, ::-1])  # event order
-                np.cumsum(seq[:, :-1], axis=1, out=acc[:, 1:])  # the events strictly before
-                acc[:, 0] = 0
+                _before(*((d, state) if forward else (d[:, ::-1], state[:, ::-1])))  # event order
                 out.append(state)
         chunk = [None] + [np.zeros((n,) * m) for m in range(1, depth + 1)]  # the chunk's levels
         for m in range(1, min(depth, top_k) + 1):  # one event fills the whole word
             chunk[m].reshape(-1)[:: reps[m]] += np.bincount(let, coef[m], minlength=n)
-        if depth >= 2:
+        if depth == 2 and size > 1:  # one event has no pairs
+            chunk[2] += _ordered_pairs(lam, let, n)
+        elif depth >= 3:
             chunk[2] += states[0][1] @ w.T
         if terms:
             order = np.argsort(let, kind="stable")
@@ -119,6 +143,6 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
         for m in range(depth, 0, -1):  # Chen's identity, the top level first
             for k in range(m - 1, -1, -1):
                 levels[m] += np.multiply.outer(levels[k], chunk[m - k])
-        if depth >= 2:
+        if depth >= 3:
             w[let, cols] = 0
     return phi

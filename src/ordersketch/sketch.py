@@ -73,9 +73,13 @@ class CandidateCapError(RuntimeError):
 def _letter_array(letters) -> np.ndarray:
     """``letters`` as an array; ValueError, before any cast, when it holds
     bools, floats, complex numbers or strings, which a cast to int64 would
-    silently turn into other letters.  An empty array passes."""
+    silently turn into other letters.  An object array, which numpy makes for
+    ints of 2**64 and more, must hold only non-bool ints.  An empty array
+    passes."""
     array = np.asarray(letters)
-    if array.size and array.dtype.kind in "bfcUS":
+    ints = array.dtype.kind != "O" or all(
+        isinstance(a, (int, np.integer)) and not isinstance(a, bool) for a in array.flat)
+    if array.size and (array.dtype.kind in "bfcUS" or not ints):
         raise ValueError(f"letters must be integers, not {array.dtype}")
     return array
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,77 @@ def test_exponential_weights_match_the_reference_fold(kind, depth):
             assert np.array_equal(got != 0, want != 0)
             nonzero = want != 0
             assert np.all(np.abs(got - want)[nonzero] <= 2e-15 * want[nonzero])
+
+
+def block_size(n):
+    """The depth-2 kernel's block length at ``n`` buckets."""
+    return max(2, round(math.sqrt(2 * n)))
+
+
+def assert_matches_reference(phi, s, kind, depth):
+    # the reference adds one event at a time, so on long streams its own
+    # rounding grows like sqrt(len(s)) units of 2**-53
+    tol = max(2e-15, 2**-53 * math.sqrt(len(s)))
+    for got, want in zip(phi.levels, stream_features(s, kind, depth).levels):
+        assert np.array_equal(got != 0, want != 0)
+        nonzero = want != 0
+        assert np.all(np.abs(got - want)[nonzero] <= tol * want[nonzero])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 5, 20, 64])
+def test_depth_two_block_boundaries_match_the_reference_fold(kind, n):
+    # level 2 of a depth-2 chunk comes from blocks of s events, the last one
+    # padded with weight-0 events; the lengths put the chunk's end at every
+    # place in a block, and one event past a whole chunk
+    rng = np.random.Generator(np.random.PCG64(19))
+    s = block_size(n)
+    for length in (1, s - 1, s, 2 * s + 1, 3 * s, 5 * s - 1, features_mod._chunk_length(n, 2) + 1):
+        stream = Stream(rng.exponential(1.0, length), rng.integers(0, n, length), n)
+        phi = features_from_arrays(stream.lambdas, stream.letters, GradedTensor.unit(n, 2), kind)
+        assert_matches_reference(phi, stream, kind, 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 5, 20, 64])
+def test_depth_two_zero_weights_inside_blocks(kind, n):
+    # weight-0 events, like the padding, add nothing: a pair with one of them
+    # stays exactly 0 and every other coordinate matches the reference fold
+    rng = np.random.Generator(np.random.PCG64(20))
+    s = block_size(n)
+    for length in (2, s + 1, 4 * s + 3, 200):
+        lam = rng.exponential(1.0, length) * (rng.random(length) < 0.5)
+        lam[:: max(1, s - 1)] = 0  # zeros at the first event and across block edges
+        stream = Stream(lam, rng.integers(0, n, length), n)
+        phi = features_from_arrays(stream.lambdas, stream.letters, GradedTensor.unit(n, 2), kind)
+        assert_matches_reference(phi, stream, kind, 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 5, 20, 64])
+def test_depth_two_integer_weights_are_bitwise_the_reference_fold(kind, n):
+    # integer weights sum exactly in any order, so blocks change no bit
+    rng = np.random.Generator(np.random.PCG64(21))
+    s = block_size(n)
+    for length in (1, s - 1, 3 * s, 7 * s + 2, 1000):
+        stream = Stream(rng.integers(0, 6, length).astype(float), rng.integers(0, n, length), n)
+        phi = features_from_arrays(stream.lambdas, stream.letters, GradedTensor.unit(n, 2), kind)
+        for got, want in zip(phi.levels, stream_features(stream, kind, 2).levels):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_depth_two_fold_allocates_no_bucket_by_chunk_array():
+    # a (64, 4096) float array alone is 2 MiB; the blocks stay well below it
+    rng = np.random.Generator(np.random.PCG64(22))
+    lam, letters = rng.exponential(1.0, 100_000), rng.integers(0, 64, 100_000)
+    phi = GradedTensor.unit(64, 2)
+    tracemalloc.start()
+    try:
+        features_from_arrays(lam, letters, phi, EventMapKind.EXP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_depth_one_is_a_count_min_at_any_bucket_count():

@@ -222,6 +222,16 @@ def test_query_many_errors_match_query():
             sk.query_many([word])
     with pytest.raises(ValueError, match="letters must be integers"):
         sk.query_many([[1.5]])
+    # an object array, as numpy makes for ints of 2**64 and more, holds only ints
+    sk.extend(Stream(np.array([2.0]), np.array([1]), 10))
+    for word in ((1.5,), (True,), ("1",), (None,), (1, 1.5), (2**64, 1.5)):
+        with pytest.raises(ValueError, match="letters must be integers, not object"):
+            sk.query(np.array(word, dtype=object))
+        with pytest.raises(ValueError, match="letters must be integers, not object"):
+            sk.query_many(np.array([word], dtype=object))
+    assert sk.query_many(np.array([[1], [np.int64(1)]], dtype=object)).tolist() == [2.0, 2.0]
+    with pytest.raises(ValueError, match="letter 18446744073709551616 outside alphabet"):
+        sk.query_many(np.array([[1, 2**64]], dtype=object))
     assert sk.query_many(np.zeros((0, 2))).shape == (0,)  # no words: nothing to refuse
 
 
@@ -599,9 +609,13 @@ def test_dense_pullback_over_letter_subset_matches_query():
     for letters in ((4, 30), (4, 2**64)):  # checked before the cast to int64
         with pytest.raises(ValueError, match="letter outside the sketch alphabet"):
             dense_pullback(sk, letters)
-    for letters in ([1.7], [True, False], ["4"], np.array([4.0, 17.0])):
+    for letters in ([1.7], [True, False], ["4"], np.array([4.0, 17.0]),
+                    np.array([4, 1.5], dtype=object), np.array([4, True], dtype=object),
+                    np.array(["4"], dtype=object), np.array([None], dtype=object)):
         with pytest.raises(ValueError, match="letters must be integers"):
             dense_pullback(sk, letters)
+    object_letters = dense_pullback(sk, np.array([4, 17, 2], dtype=object))
+    assert all(np.array_equal(a, b) for a, b in zip(object_letters.levels, sub.levels))
 
 
 def test_dense_pullback_size_guard():
