@@ -10,7 +10,6 @@ from .features import EventMapKind, features_from_arrays
 from .hashing import (
     AffineHash,
     HashFamilySpec,
-    eval_hash,
     eval_hash_array,
     sample_hashes,
     smallest_prime_geq,
@@ -69,7 +68,6 @@ __all__ = [
     "StreamClass",
     "dense_pullback",
     "error_metric",
-    "eval_hash",
     "eval_hash_array",
     "features_from_arrays",
     "gen_heavy_tail_stream",

@@ -75,12 +75,14 @@ def read_stream_file(path: str) -> Stream:
             if parsed is None:  # the line loop accepts the unusual files and names the bad line
                 fh.seek(0)
                 parsed = _parse_lines(path, fh.read().splitlines())
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text") from exc
     except OSError as exc:
         raise DataError(f"cannot read stream file {path}: {exc}") from exc
     alphabet_size, lams, lets = parsed
     try:
-        return Stream(np.array(lams), np.array(lets, dtype=np.int64), alphabet_size)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a letter past int64
+        return Stream(np.array(lams), lets, alphabet_size)
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -141,7 +143,8 @@ def _parse_lines(path: str, lines: list) -> tuple:
             lets.append(int(parts[1]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed event") from exc
-    return alphabet_size, lams, lets
+    # as objects, since numpy reads ints of both signs past int64 as floats
+    return alphabet_size, lams, np.array(lets, dtype=object)
 
 
 def write_stream_file(stream: Stream, path: str) -> None:
@@ -227,7 +230,7 @@ def cmd_query(args) -> int:
         records.append({"record": "query", "word": word_to_text(word)})
         by_length.setdefault(level, []).append((records[-1], word))
     for batch in by_length.values():
-        estimates = sketch.query_many(np.array([word for _, word in batch], dtype=np.int64))
+        estimates = sketch.query_many([word for _, word in batch])
         for (record, _), estimate in zip(batch, estimates.tolist()):
             record["estimate"] = estimate
     for record in records:

@@ -21,7 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .tensor import GradedTensor, Word
+from .tensor import GradedTensor, Word, _is_letter, _not_integers
+
+
+def _word(word) -> Word:
+    """``word`` as a tuple of ints; ValueError on a letter that is not one."""
+    if not all(map(_is_letter, word)):
+        raise _not_integers(word)
+    return tuple(map(int, word))
 
 
 @dataclass
@@ -31,13 +38,11 @@ class LinearFunctional:
     terms: dict = field(default_factory=dict)  # dict[Word, float]
 
     def __post_init__(self):
-        self.terms = {
-            tuple(int(a) for a in w): float(c) for w, c in self.terms.items() if c != 0.0
-        }
+        self.terms = {_word(w): float(c) for w, c in self.terms.items() if c != 0.0}
 
     @classmethod
     def from_word(cls, word) -> LinearFunctional:
-        return cls({tuple(int(a) for a in word): 1.0})
+        return cls({tuple(word): 1.0})
 
     def max_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)

@@ -97,13 +97,7 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
     terms = [(m, p, k) for m in range(3, depth + 1) for p in range(m // 2 + 1)
              for k in range(m // 2 + 1 - p, min(m - p, top_k) + 1) if p or m - p - k]
     step = _chunk_length(n, depth)
-    room = min(step, len(stream))
-    # flat buffers that every chunk reuses through contiguous views; w_buf stays zero
-    w_buf = np.zeros(n * room) if depth >= 3 else None
-    scratch = np.empty(n ** (depth // 2) * room * (depth >= 4))
-    ones = np.broadcast_to(1.0, (1, room))  # the level-0 state
-    state_bufs = [[np.empty(n**q * room) for q in range(1, top + 1)]  # none at depth 2
-                  for top in (depth // 2 * (depth >= 3), (depth - 1) // 2)]  # prefix, suffix
+    tops = (depth // 2 * (depth >= 3), (depth - 1) // 2)  # prefix, suffix levels; none at depth 2
     for start in range(0, len(stream), step):
         lam, let = stream.lambdas[start : start + step], stream.letters[start : start + step]
         size = lam.size
@@ -111,19 +105,19 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
         for k in range(2, top_k + 1):
             coef.append(coef[-1] * (lam / k))
         if depth >= 3:
-            w, cols = w_buf[: n * size].reshape(n, size), np.arange(size)
+            w, cols = np.zeros((n, size)), np.arange(size)
             w[let, cols] = lam
-        states = [ones[:, :size]], [ones[:, :size]]  # prefix, suffix; by level
-        for forward, bufs, out in zip((True, False), state_bufs, states):
-            for q, buf in enumerate(bufs, start=1):
-                d = w if q == 1 else scratch[: n**q * size].reshape(n**q, size)
+        ones = np.broadcast_to(1.0, (1, size))  # the level-0 state
+        states = [ones], [ones]  # prefix, suffix; by level
+        for forward, top, out in zip((True, False), tops, states):
+            for q in range(1, top + 1):
+                d = w if q == 1 else np.zeros((n**q, size))
                 if q > 1:  # d: what each event adds to the level-q state
-                    d.fill(0)
                     for k in range(1, min(q, top_k) + 1):  # the run v**k next to a level q-k state
                         view = (d.reshape(n ** (q - k), n**k, size) if forward else
                                 d.reshape(n**k, n ** (q - k), size).transpose(1, 0, 2))
                         view[:, let * reps[k], cols] += out[q - k] * coef[k]
-                state = buf[: n**q * size].reshape(n**q, size)
+                state = np.empty((n**q, size))
                 _before(*((d, state) if forward else (d[:, ::-1], state[:, ::-1])))  # event order
                 out.append(state)
         chunk = [None] + [np.zeros((n,) * m) for m in range(1, depth + 1)]  # the chunk's levels
@@ -143,6 +137,4 @@ def features_from_arrays(lambdas, letters, phi: GradedTensor, kind) -> GradedTen
         for m in range(depth, 0, -1):  # Chen's identity, the top level first
             for k in range(m - 1, -1, -1):
                 levels[m] += np.multiply.outer(levels[k], chunk[m - k])
-        if depth >= 3:
-            w[let, cols] = 0
     return phi

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import _letter_array
+
 _MASK64 = (1 << 64) - 1
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24, which
@@ -118,24 +120,16 @@ class AffineHash:
             raise ValueError("need at least one bucket")
 
 
-def eval_hash(h: AffineHash, x: int) -> int:
-    """Hash one letter.  Python integers, so no overflow for any p < 2**61."""
-    if not 0 <= x < h.p:
-        raise ValueError(f"input {x} outside [0, p)")
-    return ((h.a * x + h.b) % h.p) % h.n
-
-
-def eval_hash_array(h: AffineHash, xs: np.ndarray) -> np.ndarray:
-    """Vectorized hashing.  Falls back to exact Python ints for large p."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.size and (xs.min() < 0 or int(xs.max()) >= h.p):
-        raise ValueError("input outside [0, p)")
+def eval_hash_array(h: AffineHash, xs) -> np.ndarray:
+    """Hash an array of letters in ``range(h.p)``, checked by the letter
+    rule; exact Python ints from p = 2**31, where ``a*x + b`` can pass int64."""
+    xs = _letter_array(xs, h.p)
     if h.p < (1 << 31):
         # a*x + b < 2**62 fits int64 exactly
         vals = (np.int64(h.a) * xs + np.int64(h.b)) % np.int64(h.p)
         vals %= np.int64(h.n)
         return vals
-    return np.array([eval_hash(h, int(x)) for x in xs], dtype=np.int64)
+    return ((xs.astype(object) * h.a + h.b) % h.p % h.n).astype(np.int64)
 
 
 @dataclass(frozen=True)

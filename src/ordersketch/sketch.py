@@ -58,7 +58,7 @@ from .hashing import (
     eval_hash_array,
     sample_hashes,
 )
-from .tensor import GradedTensor, Stream, truncated_product, word_from_index
+from .tensor import GradedTensor, Stream, _letter_array, truncated_product, word_from_index
 
 SNAPSHOT_FORMAT = "order-sketch-snapshot"
 SNAPSHOT_VERSION = 2
@@ -68,20 +68,6 @@ _HEADER_ATTRIBUTES = ("alphabet_size", "bucket_count", "delta", "depth", "epsilo
 
 class CandidateCapError(RuntimeError):
     """Raised when an enumeration of words or coordinates would exceed its cap."""
-
-
-def _letter_array(letters) -> np.ndarray:
-    """``letters`` as an array; ValueError, before any cast, when it holds
-    bools, floats, complex numbers or strings, which a cast to int64 would
-    silently turn into other letters.  An object array, which numpy makes for
-    ints of 2**64 and more, must hold only non-bool ints.  An empty array
-    passes."""
-    array = np.asarray(letters)
-    ints = array.dtype.kind != "O" or all(
-        isinstance(a, (int, np.integer)) and not isinstance(a, bool) for a in array.flat)
-    if array.size and (array.dtype.kind in "bfcUS" or not ints):
-        raise ValueError(f"letters must be integers, not {array.dtype}")
-    return array
 
 
 class NonFiniteError(ValueError):
@@ -229,12 +215,9 @@ class OrderSketch:
         level ``m``, and the minimum over tables is taken.  Raises ValueError
         on a non-integer array, a letter outside the alphabet (checked first)
         or ``m`` above the depth."""
-        words = _letter_array(words)
+        words = _letter_array(words, self.alphabet_size)
         if words.ndim != 2:
             raise ValueError(f"words must be a (k, m) array, not shape {words.shape}")
-        bad = words[(words < 0) | (words >= self.alphabet_size)]
-        if bad.size:
-            raise ValueError(f"letter {bad[0]} outside alphabet of size {self.alphabet_size}")
         k, level = words.shape
         if level > self.depth:
             raise ValueError(f"word of length {level} exceeds sketch depth {self.depth}")
@@ -297,7 +280,10 @@ class OrderSketch:
         ``bucket_count`` buckets and levels 0..``depth`` take, or holds a
         value the constructor refuses."""
         end = payload.find(b"\n")
-        doc = json.loads(payload[:end]) if end >= 0 else None
+        try:
+            doc = json.loads(payload[:end]) if end >= 0 else None
+        except ValueError:  # a JSON or UTF-8 decode error
+            doc = None
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a sketch snapshot")
         if doc.get("version") != SNAPSHOT_VERSION:
@@ -350,11 +336,8 @@ def dense_pullback(
     """
     if letters is None:
         letters = np.arange(sketch.alphabet_size)
-    letters = _letter_array(letters)
+    letters = _letter_array(letters, sketch.alphabet_size)
     k = letters.size
-    if k and (letters.min() < 0 or letters.max() >= sketch.alphabet_size):
-        raise ValueError("letter outside the sketch alphabet")
-    letters = letters.astype(np.int64)
     if max_coordinates < 0:
         raise ValueError(f"max_coordinates must be >= 0, not {max_coordinates}")
     total = sum(k**m for m in range(1, sketch.depth + 1))

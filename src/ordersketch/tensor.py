@@ -2,7 +2,9 @@
 
 Conventions used across the package:
 
-* A letter is an integer id in ``range(alphabet_size)``.
+* A letter is an int or numpy integer (never a bool) in
+  ``range(alphabet_size)``.  Every entry point checks letters by that one
+  rule, `_letter_array`, or by its predicate and messages letter by letter.
 * A word is a tuple of letter ids; the empty tuple is the unit word. In text
   form a word is its ids joined by ``"."`` (``"0.1.0"``); the empty word is
   the empty string.
@@ -48,13 +50,41 @@ def word_from_text(text: str) -> Word:
         raise ValueError(f"malformed word text {text!r}") from exc
 
 
+def _is_letter(a) -> bool:
+    return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+
+
+def _not_integers(letters) -> ValueError:
+    return ValueError(f"letters must be integers, not {np.asarray(letters).dtype}")
+
+
+def _letter_array(letters, alphabet_size: int) -> np.ndarray:
+    """``letters`` as a contiguous int64 array.  ValueError, before any cast,
+    unless every entry is an integer in ``range(alphabet_size)``: a cast would
+    turn bools, floats, complex numbers and strings into other letters.  An
+    object array, as numpy makes for ints of 2**64 and more, must hold only
+    letters.  The range test reads the minimum and maximum; only a failure
+    looks for the letter to report.  An empty array passes."""
+    array = np.asarray(letters)
+    kind = array.dtype.kind
+    if array.size and not (kind in "iu" or (kind == "O" and all(map(_is_letter, array.flat)))):
+        raise _not_integers(array)
+    if array.size and (array.min() < 0 or array.max() >= alphabet_size):
+        a = array[(array < 0) | (array >= alphabet_size)][0]
+        raise ValueError(f"letter {a} outside alphabet of size {alphabet_size}")
+    return array.astype(np.int64, order="C", copy=False)
+
+
 def word_index(word: Sequence[int], alphabet_size: int) -> tuple[int, int]:
     """Return ``(level, offset)`` of a word in the dense layout.
 
-    Raises ValueError on letters outside ``range(alphabet_size)``.
+    Raises `_letter_array`'s ValueError on a letter that is not an integer
+    in ``range(alphabet_size)``, checking one letter at a time.
     """
     offset = 0
     for a in word:
+        if not _is_letter(a):
+            raise _not_integers(word)
         if not 0 <= a < alphabet_size:
             raise ValueError(f"letter {a} outside alphabet of size {alphabet_size}")
         offset = offset * alphabet_size + int(a)
@@ -77,8 +107,7 @@ class Stream:
     """A finite stream of weighted events over a fixed alphabet.
 
     Weights are float64, letters int64.  Weights must be nonnegative (zero is
-    allowed and acts as a no-op event); letters must lie in
-    ``range(alphabet_size)``.
+    allowed and acts as a no-op event); letters pass `_letter_array`.
     """
 
     lambdas: np.ndarray
@@ -87,24 +116,21 @@ class Stream:
 
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=np.float64))
-        let = np.ascontiguousarray(np.asarray(self.letters, dtype=np.int64))
+        let = np.asarray(self.letters)
         if lam.ndim != 1 or let.ndim != 1 or lam.shape != let.shape:
             raise ValueError("lambdas and letters must be 1-d arrays of equal length")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
-        if lam.size:
-            if not np.all(np.isfinite(lam)) or lam.min() < 0:
-                raise ValueError("event weights must be finite and nonnegative")
-            if let.min() < 0 or let.max() >= self.alphabet_size:
-                raise ValueError("letter id outside alphabet")
+        if lam.size and (not np.all(np.isfinite(lam)) or lam.min() < 0):
+            raise ValueError("event weights must be finite and nonnegative")
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "letters", let)
+        object.__setattr__(self, "letters", _letter_array(let, self.alphabet_size))
 
     @classmethod
     def from_events(cls, events: Iterable[tuple[float, int]], alphabet_size: int) -> Stream:
         pairs = list(events)
         lam = np.array([p[0] for p in pairs], dtype=np.float64)
-        let = np.array([p[1] for p in pairs], dtype=np.int64)
+        let = np.array([p[1] for p in pairs])
         return cls(lam, let, alphabet_size)
 
     def __len__(self) -> int:

@@ -30,7 +30,6 @@ PUBLIC_NAMES = {
     "StreamClass",
     "dense_pullback",
     "error_metric",
-    "eval_hash",
     "eval_hash_array",
     "features_from_arrays",
     "gen_heavy_tail_stream",
@@ -54,7 +53,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 37
     assert len(ordersketch.__all__) == len(set(ordersketch.__all__))
     assert set(ordersketch.__all__) == PUBLIC_NAMES
 
@@ -149,3 +148,42 @@ def test_one_module_owns_the_finite_value_rule():
     ]
     assert owners == ["sketch.py"]
     assert issubclass(sketch.NonFiniteError, ValueError)
+
+
+def _int64_casts(path: Path) -> list:
+    """The functions of a module that cast with ``np.array``, ``np.asarray``
+    or ``np.ascontiguousarray`` given ``dtype=np.int64``, or ``.astype(np.int64)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+
+    def int64(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "int64"
+
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        if (name == "astype" and node.args and int64(node.args[0])) or (
+                name in ("array", "asarray", "ascontiguousarray")
+                and any(k.arg == "dtype" and int64(k.value) for k in node.keywords)):
+            owner = min((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.end_lineno - f.lineno)
+            out.append(f"{path.stem}.{owner.name}")
+    return out
+
+
+def test_one_module_owns_the_letter_rule():
+    sources = sorted((ROOT / "src" / "ordersketch").glob("*.py"))
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        if path.name != "tensor.py":
+            assert "letters must be integers" not in text, path.name
+            assert "outside alphabet of size" not in text, path.name
+    casts = sorted(cast for path in sources for cast in _int64_casts(path))
+    assert casts == [
+        "experiments.predict",  # class labels
+        "experiments.run_experiment_2",  # class labels
+        "hashing.eval_hash_array",  # bucket ids, from letters it has checked
+        "tensor._letter_array",  # the rule: the one cast of caller letters
+    ]

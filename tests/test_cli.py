@@ -54,7 +54,11 @@ def test_stream_file_errors_carry_line_numbers(tmp_path):
         "bad_sep.events": ("alphabet_size=4\n1.0 0\n", ":2: expected weight<TAB>letter"),
         "bad_weight.events": ("alphabet_size=4\n1.0\t0\nx\t1\n", ":3: malformed event"),
         "bad_letter.events": ("alphabet_size=4\n1.0\t9\n", "letter"),
-        "int64_letter.events": ("alphabet_size=4\n1.0\t9223372036854775808\n", "too large"),
+        "int64_letter.events": ("alphabet_size=4\n1.0\t9223372036854775808\n",
+                                "letter 9223372036854775808 outside alphabet of size 4"),
+        # a list of these two ints is float64 to numpy; the line loop keeps them ints
+        "both_signs_past_int64.events": ("alphabet_size=4\n1.0\t-1\n1.0\t9223372036854775808\n",
+                                         "letter -1 outside alphabet of size 4"),
         # numpy's reader accepts the first and rejects the second; the loop names the line
         "form_feed.events": ("alphabet_size=4\n1\t0\n\n1.0\x0c\t2\n", ":4: expected weight<TAB>"),
         "float_letter.events": ("alphabet_size=4\n1\t0\n1_0\t1\n2\t5.0\n", ":4: malformed event"),
@@ -338,6 +342,8 @@ MALFORMED_SNAPSHOTS = {
     "delta_above_one": lambda h, v: join_snapshot(dict(h, delta=7), v),
     "hash_prime_below_alphabet": lambda h, v: join_snapshot(_hash_prime_below_alphabet(h), v),
     "hashes_not_objects": lambda h, v: join_snapshot(dict(h, hashes=[1, 2]), v),
+    "stream_file": lambda h, v: b"alphabet_size=4\n1.0\t0\n",  # first line not JSON
+    "header_not_utf8": lambda h, v: b"\xa0\xff\n" + join_snapshot(h, v),
 }
 
 
@@ -359,6 +365,8 @@ def test_malformed_snapshot_is_data_error(tmp_path, command, case):
         assert "NaN" in err
     if case == "hashes_not_objects":
         assert "malformed snapshot" in err
+    if case in ("stream_file", "header_not_utf8"):
+        assert "not a sketch snapshot" in err
 
 
 @pytest.mark.parametrize("command", ["build", "heavy"])

@@ -8,13 +8,12 @@ from ordersketch.hashing import (
     AffineHash,
     HashFamilySpec,
     derive_seed,
-    eval_hash,
     eval_hash_array,
     sample_hashes,
     smallest_prime_geq,
 )
 
-from util import hash_word
+from util import eval_hash, hash_word
 
 
 def test_smallest_prime_geq_values():
@@ -67,7 +66,8 @@ def test_identity_style_hash():
 
 def test_eval_hash_examples():
     h = AffineHash(a=3, b=2, p=7, n=4)
-    # (3x + 2) mod 7 mod 4
+    # (3x + 2) mod 7 mod 4, by the library and by the test oracle
+    assert eval_hash_array(h, np.arange(7)).tolist() == [2, 1, 1, 0, 0, 3, 2]
     assert [eval_hash(h, x) for x in range(7)] == [2, 1, 1, 0, 0, 3, 2]
     with pytest.raises(ValueError):
         eval_hash(h, 7)
@@ -81,8 +81,8 @@ def test_eval_hash_array_matches_scalar():
     xs = rng.integers(0, 100003, size=500)
     got = eval_hash_array(h, xs)
     assert got.tolist() == [eval_hash(h, int(x)) for x in xs]
-    for bad in ([100003], [5, -1]):
-        with pytest.raises(ValueError, match=r"outside \[0, p\)"):
+    for bad, message in (([100003], "letter 100003"), ([5, -1], "letter -1")):
+        with pytest.raises(ValueError, match=f"^{message} outside alphabet of size 100003$"):
             eval_hash_array(h, np.array(bad))
 
 

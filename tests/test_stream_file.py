@@ -119,3 +119,16 @@ def test_header_only_file_is_an_empty_stream(tmp_path, capsys):
     code, out, err = run_cli(["build", str(path), str(tmp_path / "empty.snap")])
     assert code == 0 and '"events":0' in out
     assert err.startswith("built sketch over 0 events") and err.count("\n") == 1
+
+
+def test_non_ascii_file_is_a_data_error_naming_the_file(tmp_path):
+    # a non-breaking space in the body, or a byte of UTF-8 text in the header
+    for name, data in (("body.events", b"alphabet_size=3\n1.0\t0\n\xa0\t1\n"),
+                       ("header.events", "alphabet_size=3\u00a0\n1.0\t0\n".encode())):
+        path = tmp_path / name
+        path.write_bytes(data)
+        want = ("error", f"{path}: not ASCII text")
+        assert read_outcome(read_stream_file, path) == want
+        assert read_outcome(read_stream_file_by_lines, path) == want
+        code, out, err = run_cli(["build", str(path), str(tmp_path / "s.snap")])
+        assert (code, out, err) == (2, "", f"ordersketch: data error: {path}: not ASCII text\n")

@@ -18,7 +18,6 @@ from ordersketch import (
     OrderSketch,
     Stream,
     dense_pullback,
-    eval_hash,
     word_from_index,
 )
 from ordersketch.cli import DataError
@@ -52,6 +51,14 @@ def split_snapshot(data: bytes) -> tuple[dict, np.ndarray]:
 def join_snapshot(header: dict, values) -> bytes:
     """Snapshot bytes from a header and payload values (written as ``<f8``)."""
     return json.dumps(header).encode() + b"\n" + np.asarray(values, dtype="<f8").tobytes()
+
+
+def eval_hash(h, x: int) -> int:
+    """Hash one letter with exact Python ints: the oracle for
+    ``eval_hash_array``, ``((a*x + b) mod p) mod n``."""
+    if not 0 <= x < h.p:
+        raise ValueError(f"input {x} outside [0, p)")
+    return ((h.a * x + h.b) % h.p) % h.n
 
 
 def hash_word(h, word) -> tuple:
@@ -259,6 +266,8 @@ def read_stream_file_by_lines(path: str) -> Stream:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text") from exc
     except OSError as exc:
         raise DataError(f"cannot read stream file {path}: {exc}") from exc
     if not lines or not lines[0].startswith("alphabet_size="):
@@ -282,8 +291,8 @@ def read_stream_file_by_lines(path: str) -> Stream:
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed event") from exc
     try:
-        return Stream(np.array(lams), np.array(lets, dtype=np.int64), alphabet_size)
-    except (ValueError, OverflowError) as exc:
+        return Stream(np.array(lams), np.array(lets, dtype=object), alphabet_size)
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
