@@ -373,7 +373,7 @@ def cmd_experiment(args) -> int:
             )
             _note(
                 f"table1 cell |B|={row.bucket_count} r={row.hash_count}:"
-                f" {row.events_per_sec:.0f} events/s"
+                f" {row.events_per_sec:.0f} events/s over its {row.hash_count} table folds"
             )
     else:
         config = _experiment_config(ExperimentTwoConfig, overrides, args.seed)

@@ -5,6 +5,10 @@ the mass-normalized coordinate error of the sketch against exact features,
 per (bucket count, table count) cell.  Hash draws for a given repetition
 share a seed across cells, so tables with more hashes extend the smaller
 draw set and error decreases monotonically along that axis by construction.
+Each repetition therefore folds the tables of its largest draw once, and a
+cell of ``r`` tables reads the first ``r``.  A cell's ``events_per_sec`` is
+the stream length over the summed time of those ``r`` table folds, hashing
+included.
 
 Experiment two classifies two kinds of three-segment streams that differ
 only in the order of their hot letters.  Features are mined per stream with
@@ -205,27 +209,29 @@ def train_linear_classifier(
     xs = (x - mu) / sigma
     sign = 2.0 * y - 1.0
 
+    n = len(y)
     w = np.zeros(x.shape[1])
     b = 0.0
 
     def loss(wv, bv):
-        margins = sign * (xs @ wv + bv)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * l2 * wv @ wv)
+        """The regularized loss at ``(wv, bv)`` and the decision values it read."""
+        z = xs @ wv + bv
+        return float(np.logaddexp(0.0, -sign * z).sum() / n + 0.5 * l2 * wv @ wv), z
 
-    current = loss(w, b)
+    current, z = loss(w, b)
     history = [current]
     lr = 1.0
     for _ in range(epochs):
-        z = xs @ w + b
         prob = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        grad_w = xs.T @ (prob - y) / len(y) + l2 * w
-        grad_b = float(np.mean(prob - y))
+        residual = prob - y
+        grad_w = xs.T @ residual / n + l2 * w
+        grad_b = float(residual.sum() / n)
         while lr > 1e-12:
             cand_w = w - lr * grad_w
             cand_b = b - lr * grad_b
-            cand = loss(cand_w, cand_b)
+            cand, cand_z = loss(cand_w, cand_b)
             if cand <= current:
-                w, b, current = cand_w, cand_b, cand
+                w, b, current, z = cand_w, cand_b, cand, cand_z
                 lr *= 1.1
                 break
             lr *= 0.5
@@ -296,7 +302,10 @@ class ExperimentOneRow:
 
 def run_experiment_1(config: ExperimentOneConfig) -> list:
     """Sweep (bucket_count, hash_count) cells; one row per cell with the
-    median error and throughput over the repetitions."""
+    median error and throughput over the repetitions.  A repetition draws
+    ``max(hash_counts)`` hashes per bucket count and folds each of their
+    tables once; the cell of ``r`` hashes reads the first ``r`` tables, and
+    its throughput is the stream length over the time of those ``r`` folds."""
     stream = gen_heavy_tail_stream(
         config.alphabet_size,
         config.length,
@@ -312,36 +321,43 @@ def run_experiment_1(config: ExperimentOneConfig) -> list:
     )
     pullback_cap = max(2_000_000, 2 * exact.coordinate_count())
     rep_seeds = [derive_seed(config.base_seed, 1 + s) for s in range(config.repetitions)]
+    mass = stream.total_mass()
 
-    def run_cell(hash_draws: list) -> ExperimentOneRow:
-        # one sketch per draw; all draws share one table shape
-        errors, rates = [], []
-        for hashes in hash_draws:
-            sk = OrderSketch(hashes, config.depth, config.kind, config.alphabet_size)
+    def measure(hashes: list, counts) -> list:
+        # (error, events/s, memory ratio) of the sketch on the first r hashes, per r in counts
+        tables, seconds = [], []
+        for h in hashes:
+            one = OrderSketch([h], config.depth, config.kind, config.alphabet_size)
             t0 = time.perf_counter()
-            sk.extend(stream)
-            elapsed = time.perf_counter() - t0
-            rates.append(len(stream) / elapsed if elapsed > 0 else math.inf)
+            one.extend(stream)
+            seconds.append(time.perf_counter() - t0)
+            tables += one.tables
+        cells = []
+        for r in counts:
+            sk = OrderSketch(hashes[:r], config.depth, config.kind, config.alphabet_size,
+                             tables=tables[:r], events_seen=len(stream), stream_l1=mass)
+            elapsed = sum(seconds[:r])
             report = error_metric(exact, dense_pullback(sk, max_coordinates=pullback_cap))
-            errors.append(report.aggregate)
-        return ExperimentOneRow(
-            bucket_count=sk.bucket_count,
-            hash_count=sk.hash_count,
-            memory_ratio=(exact.coordinate_count() - 1) / sk.coordinate_count(),
-            median_error=median(errors),
-            events_per_sec=median(rates),
-        )
+            cells.append((report.aggregate, len(stream) / elapsed if elapsed > 0 else math.inf,
+                          (exact.coordinate_count() - 1) / sk.coordinate_count()))
+        return cells
 
-    rows = [
-        run_cell(
-            [sample_hashes(HashFamilySpec(config.alphabet_size, b, s), r) for s in rep_seeds]
-        )
-        for b in config.bucket_counts
-        for r in config.hash_counts
-    ]
+    def row(bucket_count: int, hash_count: int, reps) -> ExperimentOneRow:
+        errors, rates, ratios = zip(*reps)
+        return ExperimentOneRow(bucket_count, hash_count, ratios[0], median(errors), median(rates))
+
+    rows = []
+    for b in config.bucket_counts:
+        per_rep = [
+            measure(sample_hashes(HashFamilySpec(config.alphabet_size, b, s),
+                                  max(config.hash_counts)), config.hash_counts)
+            for s in rep_seeds
+        ]
+        rows += [row(b, r, reps) for r, reps in zip(config.hash_counts, zip(*per_rep))]
     if config.include_identity_row:
         p = smallest_prime_geq(max(config.alphabet_size, 2))
-        rows.append(run_cell([[AffineHash(1, 0, p, config.alphabet_size)]]))
+        rows.append(row(config.alphabet_size, 1,
+                        measure([AffineHash(1, 0, p, config.alphabet_size)], [1])))
     return rows
 
 

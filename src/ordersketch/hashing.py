@@ -120,16 +120,24 @@ class AffineHash:
             raise ValueError("need at least one bucket")
 
 
-def eval_hash_array(h: AffineHash, xs) -> np.ndarray:
-    """Hash an array of letters in ``range(h.p)``, checked by the letter
-    rule; exact Python ints from p = 2**31, where ``a*x + b`` can pass int64."""
-    xs = _letter_array(xs, h.p)
+def _hash_letters(h: AffineHash, xs: np.ndarray) -> np.ndarray:
     if h.p < (1 << 31):
         # a*x + b < 2**62 fits int64 exactly
         vals = (np.int64(h.a) * xs + np.int64(h.b)) % np.int64(h.p)
         vals %= np.int64(h.n)
         return vals
     return ((xs.astype(object) * h.a + h.b) % h.p % h.n).astype(np.int64)
+
+
+def eval_hash_array(h: AffineHash, xs) -> np.ndarray:
+    """Hash an array of letters in ``range(h.p)``, checked by the letter
+    rule, into a new int64 array; exact Python ints from p = 2**31, where
+    ``a*x + b`` can pass int64.  An array of more than ``2 * h.p`` letters
+    gathers from the hashed alphabet instead, one lookup per letter."""
+    xs = _letter_array(xs, h.p)
+    if xs.size > 2 * h.p:
+        return _hash_letters(h, np.arange(h.p))[xs]
+    return _hash_letters(h, xs)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -50,12 +51,27 @@ def word_from_text(text: str) -> Word:
         raise ValueError(f"malformed word text {text!r}") from exc
 
 
+def _is_letter_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
 def _is_letter(a) -> bool:
-    return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+    return _is_letter_type(type(a))
+
+
+def _all_letters(entries) -> bool:
+    return all(map(_is_letter_type, set(map(type, entries))))
 
 
 def _not_integers(letters) -> ValueError:
-    return ValueError(f"letters must be integers, not {np.asarray(letters).dtype}")
+    """The rule's refusal, naming the dtype numpy reads ``letters`` as, or
+    the type of the first non-letter where that dtype hides it (``[1, True]``
+    is int64)."""
+    name = np.asarray(letters).dtype
+    if name.kind in "iu":
+        bad = next(itertools.filterfalse(_is_letter, np.array(letters, dtype=object).flat))
+        name = type(bad).__name__
+    return ValueError(f"letters must be integers, not {name}")
 
 
 def _letter_array(letters, alphabet_size: int) -> np.ndarray:
@@ -63,11 +79,23 @@ def _letter_array(letters, alphabet_size: int) -> np.ndarray:
     unless every entry is an integer in ``range(alphabet_size)``: a cast would
     turn bools, floats, complex numbers and strings into other letters.  An
     object array, as numpy makes for ints of 2**64 and more, must hold only
-    letters.  The range test reads the minimum and maximum; only a failure
-    looks for the letter to report.  An empty array passes."""
-    array = np.asarray(letters)
-    kind = array.dtype.kind
-    if array.size and not (kind in "iu" or (kind == "O" and all(map(_is_letter, array.flat)))):
+    letters, and so must a list or tuple: its entries are checked, not the
+    one dtype numpy picks for them, which hides a bool among ints (int64)
+    and ints past int64 of both signs (float64).  The range test reads the
+    minimum and maximum; only a failure looks for the letter to report.  An
+    empty array passes."""
+    array = np.asarray(letters)  # numpy's own error on a ragged sequence
+    if isinstance(letters, (list, tuple)):
+        entries = letters
+        for _ in range(array.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        if not _all_letters(entries):
+            raise _not_integers(letters)
+        if array.dtype.kind == "f":
+            array = np.array(letters, dtype=object)
+    elif array.size and not (
+        array.dtype.kind in "iu" or (array.dtype.kind == "O" and _all_letters(array.flat))
+    ):
         raise _not_integers(array)
     if array.size and (array.min() < 0 or array.max() >= alphabet_size):
         a = array[(array < 0) | (array >= alphabet_size)][0]
@@ -115,23 +143,22 @@ class Stream:
     alphabet_size: int
 
     def __post_init__(self):
-        lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=np.float64))
-        let = np.asarray(self.letters)
-        if lam.ndim != 1 or let.ndim != 1 or lam.shape != let.shape:
-            raise ValueError("lambdas and letters must be 1-d arrays of equal length")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
+        lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=np.float64))
+        let = _letter_array(self.letters, self.alphabet_size)
+        if lam.ndim != 1 or let.ndim != 1 or lam.shape != let.shape:
+            raise ValueError("lambdas and letters must be 1-d arrays of equal length")
         if lam.size and (not np.all(np.isfinite(lam)) or lam.min() < 0):
             raise ValueError("event weights must be finite and nonnegative")
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "letters", _letter_array(let, self.alphabet_size))
+        object.__setattr__(self, "letters", let)
 
     @classmethod
     def from_events(cls, events: Iterable[tuple[float, int]], alphabet_size: int) -> Stream:
         pairs = list(events)
         lam = np.array([p[0] for p in pairs], dtype=np.float64)
-        let = np.array([p[1] for p in pairs])
-        return cls(lam, let, alphabet_size)
+        return cls(lam, [p[1] for p in pairs], alphabet_size)
 
     def __len__(self) -> int:
         return int(self.lambdas.size)

@@ -184,6 +184,6 @@ def test_one_module_owns_the_letter_rule():
     assert casts == [
         "experiments.predict",  # class labels
         "experiments.run_experiment_2",  # class labels
-        "hashing.eval_hash_array",  # bucket ids, from letters it has checked
+        "hashing._hash_letters",  # bucket ids, from letters eval_hash_array has checked
         "tensor._letter_array",  # the rule: the one cast of caller letters
     ]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from statistics import median
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from ordersketch import (
     OrderSketch,
     Stream,
     dense_pullback,
+    features_from_arrays,
 )
-from ordersketch.hashing import HashFamilySpec, sample_hashes
+from ordersketch import experiments, sketch
+from ordersketch.hashing import AffineHash, HashFamilySpec, derive_seed, sample_hashes
 from ordersketch.experiments import (
     ErrorReport,
     ExperimentOneConfig,
@@ -223,6 +227,38 @@ def test_classifier_constant_column_tolerated():
     assert math.isfinite(model.intercept)
 
 
+# Recorded from the fit before it reused the accepted step's decision values:
+# (features, seed) -> (weights, intercept, len(loss_history), sha256 of loss_history).
+PINNED_FITS = {
+    (3, 21): (
+        ["-0x1.19b57d7f36c17p+1", "-0x1.2e97ae2c07e4ap-4", "-0x1.36e34ae93f716p-3"],
+        "0x1.5f245ad51cbbep-2", 401,
+        "6f4a5b27fd9b00bcc76dccf3f43940fed37d41bd945d00d91ed6e443fb922fb6",
+    ),
+    (12, 22): (
+        ["-0x1.1b7092714f187p-4", "0x1.c52af90cddc65p-3", "0x1.6f8d59478029ep-1",
+         "0x1.7e252caa1614cp+1", "0x1.f9463729f81acp+0", "0x1.e8d33aa252caep+0",
+         "0x1.570f010b259a4p+1", "-0x1.eea61255da7d7p+1", "0x1.e367804f91edep+0",
+         "0x1.6ffdecac53334p-1", "0x1.21ecfc696b428p-1", "-0x1.43858c85f8decp+1"],
+        "-0x1.a2ba569f31048p-5", 401,
+        "d07cbcb493cc2694392f6a9b8311a315355b80e79f4c6a67ee3ee44fcfdb979d",
+    ),
+}
+
+
+@pytest.mark.parametrize("d, seed", sorted(PINNED_FITS))
+def test_classifier_fit_is_pinned_bit_for_bit(d, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.normal(size=(32, d))
+    y = (x @ rng.normal(size=d) + rng.normal(size=32) > 0).astype(np.int64)
+    model = train_linear_classifier(x, y)
+    weights, intercept, epochs, digest = PINNED_FITS[(d, seed)]
+    assert [w.hex() for w in model.weights.tolist()] == weights
+    assert model.intercept.hex() == intercept
+    assert len(model.loss_history) == epochs
+    assert hashlib.sha256(np.array(model.loss_history).tobytes()).hexdigest() == digest
+
+
 # -- experiment one ----------------------------------------------------------------
 
 
@@ -329,3 +365,66 @@ def test_experiment_two_small_smoke():
 def test_error_report_shape():
     r = ErrorReport((0.1, 0.3), 0.2)
     assert r.aggregate == 0.2 and r.per_level == (0.1, 0.3)
+
+
+def test_experiment_one_rows_equal_a_fold_per_cell():
+    # unsorted and repeated hash counts, several repetitions and the identity
+    # row: every row must equal sketches built and folded from scratch per cell
+    cfg = ExperimentOneConfig(
+        alphabet_size=23,
+        length=3000,
+        heavy_count=3,
+        heavy_mass=0.3,
+        depth=3,
+        kind=EventMapKind.LINEAR,
+        bucket_counts=(8, 3),
+        hash_counts=(4, 1, 4, 2),
+        repetitions=3,
+        base_seed=5,
+        include_identity_row=True,
+    )
+    rows = run_experiment_1(cfg)
+    stream = gen_heavy_tail_stream(23, 3000, 3, 0.3, derive_seed(5, 0))
+    exact = features_from_arrays(
+        stream.lambdas, stream.letters, GradedTensor.unit(23, 3), EventMapKind.LINEAR
+    )
+
+    def cell(draws):
+        errors = []
+        for hashes in draws:
+            sk = OrderSketch(hashes, 3, EventMapKind.LINEAR, 23)
+            sk.extend(stream)
+            errors.append(error_metric(exact, dense_pullback(sk)).aggregate)
+        return (sk.bucket_count, sk.hash_count,
+                (exact.coordinate_count() - 1) / sk.coordinate_count(), median(errors))
+
+    seeds = [derive_seed(5, 1 + s) for s in range(3)]
+    expected = [
+        cell([sample_hashes(HashFamilySpec(23, b, s), r) for s in seeds])
+        for b in (8, 3) for r in (4, 1, 4, 2)
+    ] + [cell([[AffineHash(1, 0, 23, 23)]])]
+    got = [(r.bucket_count, r.hash_count, r.memory_ratio, r.median_error) for r in rows]
+    assert got == expected
+    assert all(r.events_per_sec > 0 for r in rows)
+    assert rows[-1].median_error == 0.0
+
+
+def test_study_table1_folds_each_drawn_table_once(monkeypatch):
+    # the study benchmark's table1 shape: one exact fold, then one fold per
+    # table of the largest draw per bucket count (1 + 4 * 8), not per cell
+    # (1 + 4 * (2 + 4 + 8))
+    folds = []
+
+    def counted(*args):
+        folds.append(len(args[0]))
+        return features_from_arrays(*args)
+
+    monkeypatch.setattr(experiments, "features_from_arrays", counted)
+    monkeypatch.setattr(sketch, "features_from_arrays", counted)
+    cfg = ExperimentOneConfig(
+        alphabet_size=100, length=100_000, heavy_count=10, heavy_mass=0.1, depth=2,
+        kind=EventMapKind.EXP, bucket_counts=(4, 8, 16, 32), hash_counts=(2, 4, 8),
+        repetitions=1,
+    )
+    assert len(run_experiment_1(cfg)) == 12
+    assert folds == [100_000] * 33

@@ -86,6 +86,25 @@ def test_eval_hash_array_matches_scalar():
             eval_hash_array(h, np.array(bad))
 
 
+@pytest.mark.parametrize("size", [101, 202, 203, 5000])
+def test_eval_hash_array_direct_and_gathered_agree(size):
+    # up to 2p letters are hashed directly, past that gathered from the
+    # hashed alphabet; both give the oracle's buckets in a new int64 array
+    h = AffineHash(a=45, b=78, p=101, n=8)
+    xs = np.random.Generator(np.random.PCG64(size)).integers(0, 101, size=size)
+    xs[:101] = np.arange(101)  # every letter, so the two paths meet on each
+    held = xs.copy()
+    got = eval_hash_array(h, xs)
+    assert got.tolist() == [eval_hash(h, int(x)) for x in xs]
+    assert got.dtype == np.int64 and got.flags.writeable and got.flags.c_contiguous
+    assert not np.shares_memory(got, xs) and np.array_equal(xs, held)
+    want = got.copy()
+    got += 1  # mining adds chunk offsets in place
+    assert np.array_equal(eval_hash_array(h, xs), want)
+    words = xs[: size - size % 2].reshape(-1, 2)  # a (k, 2) array of words keeps its shape
+    assert np.array_equal(eval_hash_array(h, words), want[: words.size].reshape(-1, 2))
+
+
 def test_eval_hash_array_large_prime_fallback():
     # p near 2^61 forces the arbitrary-precision path; products overflow int64
     p = smallest_prime_geq(2**61 - 1)

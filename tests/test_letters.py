@@ -120,3 +120,40 @@ def test_the_rule_returns_contiguous_int64_and_reports_the_first_bad_letter():
         _letter_array(np.array([[1, 7], [-1, 9]]), 4)
     with pytest.raises(ValueError, match="^letter -1 outside alphabet of size 4$"):
         _letter_array([[1, 2], [-1, 9]], 4)
+
+
+# A Python list or tuple is checked entry by entry: numpy's one dtype for it
+# would read [1, True] and [np.array(1), 2] as int64 and (-1, 2**63) as float64.
+MIXED = {
+    "bool among ints": ((1, True), "letters must be integers, not bool"),
+    "numpy bool among ints": ([2, np.True_], "letters must be integers, not bool"),
+    "float among ints": ([1, 2.0], "letters must be integers, not float64"),
+    "0-d array among ints": ([np.array(1), 2], "letters must be integers, not ndarray"),
+    "ints past int64 of both signs": ((-1, 2**63), f"letter -1 outside alphabet of size {N}"),
+    "int past uint64 among ints": ((1, 2**64), f"letter {2**64} outside alphabet of size {N}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED))
+@pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"update"}))  # update takes one letter
+def test_a_sequence_is_checked_entry_by_entry(entry, case):
+    word, message = MIXED[case]
+    if entry == "LinearFunctional" and (message.startswith("letter ") or "ndarray" in message):
+        return  # a functional has no alphabet to check, and its words are dict keys
+    sketch, phi = _sketch(), _tensor()
+    table_bytes = sketch.to_snapshot()
+    with pytest.raises(ValueError) as refused:
+        ENTRY_POINTS[entry][1](word, sketch, phi)
+    assert str(refused.value) == message
+    assert sketch.to_snapshot() == table_bytes
+
+
+def test_sequences_of_integers_keep_their_letters():
+    from ordersketch.tensor import _letter_array
+
+    assert _letter_array([(1, 2), (3, 4)], N).tolist() == [[1, 2], [3, 4]]
+    assert _letter_array([np.array([1, 2]), np.array([3, 4])], N).tolist() == [[1, 2], [3, 4]]
+    mixed = _letter_array([np.uint64(3), np.int64(2)], N)  # numpy reads these as float64
+    assert mixed.dtype == np.int64 and mixed.tolist() == [3, 2]
+    assert _letter_array((), N).dtype == np.int64
+    assert Stream([1.0, 1.0], [4, np.int8(0)], N).letters.tolist() == [4, 0]
