@@ -9,6 +9,13 @@ Stream files are plain text: a first line ``alphabet_size=N`` (N below
 whitespace-only lines are skipped, CRLF line ends are accepted, and the
 first malformed line is reported by its line number.
 
+``build`` and ``exact`` read and fold the file one block of whole fold
+chunks at a time, so they hold one block, never the parsed file; the tables
+get the bits of one fold of the whole stream, and only ``stream_l1`` is
+summed block by block (on non-integer weights its last bit can move).  Any
+error reruns the command on the whole file, which reports it as a
+whole-file read does.  ``heavy`` reads the whole stream.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource guard.
 """
 
@@ -28,7 +35,7 @@ from .experiments import (
     run_experiment_1,
     run_experiment_2,
 )
-from .features import features_from_arrays
+from .features import _chunk_length, features_from_arrays
 from .sketch import (CandidateCapError, NonFiniteError, OrderSketch, _require_finite,
                      mine_heavy_patterns)
 from .tensor import GradedTensor, Stream, word_from_index, word_from_text, word_index, word_to_text
@@ -68,7 +75,18 @@ _EVENT_ROW = np.dtype([("w", "<f8"), ("a", "<i8")])
 _NUMPY_ONLY_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def read_stream_file(path: str) -> Stream:
+def read_stream_file(path: str, block: tuple | None = None) -> Stream:
+    """The stream in the file at ``path``.
+
+    Given ``block = (fh, alphabet_size, rows)``, with ``fh`` that file open
+    at the body `_numpy_body` accepted, only its next ``rows`` events (fewer
+    at the end of the file), read by numpy's reader alone.  A block raises
+    numpy's or `Stream`'s own error: only the whole-file read names the bad
+    line, and `_fold_stream_file` reruns it for that.
+    """
+    if block is not None:
+        fh, alphabet_size, rows = block
+        return Stream(*_numpy_rows(fh, rows), alphabet_size)
     try:
         with open(path, "r", encoding="ascii") as fh:
             parsed = _parse_with_numpy(path, fh)
@@ -89,30 +107,46 @@ def read_stream_file(path: str) -> Stream:
 def _parse_with_numpy(path: str, fh):
     """``(alphabet_size, weights, letters)`` from numpy's C reader, or None.
 
-    None means the file may read differently under :func:`_parse_lines`: a
-    header it might split or reject, a character that numpy reads as a space
-    and the loop does not, or a body that numpy's reader rejects or warns
-    about. Every file accepted here gives the loop's arrays bit for bit.
-    numpy reads ``fh`` as a handle, never the path, so it cannot pick a
-    decompressor from the file's suffix.
+    None means the file may read differently under :func:`_parse_lines`: see
+    `_numpy_body`, or a body that numpy's reader rejects or warns about.
+    Every file accepted here gives the loop's arrays bit for bit.
     """
     try:
-        header = fh.readline().splitlines()
-        if len(header) != 1:
-            return None
-        alphabet_size = _parse_header(path, header[0])
-        body = fh.tell()
-        while chunk := fh.read(1 << 20):
-            if any(c in chunk for c in _NUMPY_ONLY_SPACES):
-                return None
-        fh.seek(body)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the empty-input warning, numpy 1.x's "5.0" as an int
-            rows = np.loadtxt(fh, delimiter="\t", dtype=_EVENT_ROW, comments=None,
-                              quotechar=None, ndmin=1)
+        alphabet_size = _numpy_body(path, fh)
+        return None if alphabet_size is None else (alphabet_size, *_numpy_rows(fh))
     except (DataError, ValueError, Warning):
         return None
-    return alphabet_size, rows["w"], rows["a"]
+
+
+def _numpy_body(path: str, fh) -> int | None:
+    """The header's alphabet size, with ``fh`` left at the start of the body,
+    or None where numpy's reader may read the body differently from the line
+    loop: a header it might split, or a character that numpy reads as a
+    space and the loop does not.  Raises the header's DataError."""
+    header = fh.readline().splitlines()
+    if len(header) != 1:
+        return None
+    alphabet_size = _parse_header(path, header[0])
+    body = fh.tell()
+    while chunk := fh.read(1 << 20):
+        if any(c in chunk for c in _NUMPY_ONLY_SPACES):
+            return None
+    fh.seek(body)
+    return alphabet_size
+
+
+def _numpy_rows(fh, rows: int | None = None) -> tuple:
+    """Weights and letters of the next ``rows`` events of ``fh`` (all by
+    default) from numpy's C reader, which raises ValueError, or a Warning, on
+    any line it rejects or warns about.  numpy reads ``fh`` as a handle, never
+    the path, so it cannot pick a decompressor from the file's suffix."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the empty-input warning, numpy 1.x's "5.0" as an int
+        if rows is not None:  # a block may skip blank lines, and read none at the end
+            warnings.filterwarnings("ignore", r"(loadtxt: )?input (line \d+ )?contained no data")
+        table = np.loadtxt(fh, delimiter="\t", dtype=_EVENT_ROW, comments=None,
+                           quotechar=None, ndmin=1, max_rows=rows)
+    return table["w"], table["a"]
 
 
 def _parse_header(path: str, line: str) -> int:
@@ -162,16 +196,58 @@ def _add_sketch_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
-def cmd_build(args) -> int:
-    stream = read_stream_file(args.stream)
+# the errors a command reports: a block that raises one reruns the whole file
+_REPORTED = (UsageError, DataError, CandidateCapError, MemoryError, OSError, ValueError)
+
+
+def _block_rows(n: int, depth: int) -> int:
+    """Events per block: whole fold chunks, so a stream folds to the same
+    bits block by block, about ``2**17`` events when a chunk is shorter."""
+    chunk = _chunk_length(n, depth)
+    return chunk * max(1, 2**17 // chunk)
+
+
+def _fold_stream_file(path: str, start, fold) -> tuple:
+    """Fold the stream file at ``path`` and return ``(state, events)``.
+
+    ``start(alphabet_size)`` gives ``(state, rows)``; then ``fold(state,
+    stream)`` takes the events ``rows`` at a time, each block parsed by
+    `read_stream_file`, so the parsed file is never held whole.  On any error
+    the partial state is dropped and the whole file is read, started and
+    folded once: the letters are then checked across the file before the
+    weights, and the messages and line numbers are the whole-file read's.
+    """
     try:
-        sketch = OrderSketch.from_parameters(
-            args.epsilon, args.delta, args.depth, args.event_map, stream.alphabet_size, args.seed
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        with open(path, "r", encoding="ascii") as fh:
+            alphabet_size = _numpy_body(path, fh)
+            if alphabet_size is not None:
+                state, rows = start(alphabet_size)
+                events = 0
+                while True:
+                    block = read_stream_file(path, (fh, alphabet_size, rows))
+                    fold(state, block)
+                    events += len(block)
+                    if len(block) < rows:
+                        return state, events
+    except _REPORTED:
+        pass
+    stream = read_stream_file(path)
+    state, _ = start(stream.alphabet_size)
+    fold(state, stream)
+    return state, len(stream)
+
+
+def cmd_build(args) -> int:
+    def start(alphabet_size: int) -> tuple:
+        try:
+            sketch = OrderSketch.from_parameters(args.epsilon, args.delta, args.depth,
+                                                 args.event_map, alphabet_size, args.seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        return sketch, _block_rows(sketch.bucket_count, sketch.depth)
+
     t0 = time.perf_counter()
-    sketch.extend(stream)
+    sketch, events = _fold_stream_file(args.stream, start, OrderSketch.extend)
     elapsed = time.perf_counter() - t0
     _save_snapshot(sketch, args.snapshot)
     coords = sketch.coordinate_count()
@@ -191,9 +267,9 @@ def cmd_build(args) -> int:
             "snapshot": args.snapshot,
         }
     )
-    rate = len(stream) / elapsed if elapsed > 0 else float("inf")
+    rate = events / elapsed if elapsed > 0 else float("inf")
     _note(
-        f"built sketch over {len(stream)} events in {elapsed:.3f}s"
+        f"built sketch over {events} events in {elapsed:.3f}s"
         f" ({rate:.0f} events/s); {coords} coordinates ({coords * 8} bytes)"
     )
     return EXIT_OK
@@ -283,20 +359,26 @@ def cmd_exact(args) -> int:
         raise UsageError("depth must be >= 0")
     if args.max_coordinates < 0:
         raise UsageError(f"max_coordinates must be >= 0, not {args.max_coordinates}")
-    stream = read_stream_file(args.stream)
-    n = stream.alphabet_size
-    coords = sum(n**m for m in range(args.depth + 1))
-    if coords > args.max_coordinates:
-        raise CandidateCapError(
-            f"refusing exact run: {coords} coordinates (~{coords * 8} bytes) exceed"
-            f" the cap of {args.max_coordinates}; raise --max-coordinates to override"
-        )
-    phi = GradedTensor.unit(n, args.depth)
-    _require_finite([features_from_arrays(stream.lambdas, stream.letters, phi, args.event_map)])
+
+    def start(n: int) -> tuple:
+        coords = sum(n**m for m in range(args.depth + 1))
+        if coords > args.max_coordinates:
+            raise CandidateCapError(
+                f"refusing exact run: {coords} coordinates (~{coords * 8} bytes) exceed"
+                f" the cap of {args.max_coordinates}; raise --max-coordinates to override"
+            )
+        return GradedTensor.unit(n, args.depth), _block_rows(n, args.depth)
+
+    def fold(phi: GradedTensor, stream: Stream) -> None:
+        features_from_arrays(stream.lambdas, stream.letters, phi, args.event_map)
+
+    phi, events = _fold_stream_file(args.stream, start, fold)
+    _require_finite([phi])
+    n, coords = phi.alphabet_size, phi.coordinate_count()
     _emit(
         {
             "record": "exact",
-            "events": len(stream),
+            "events": events,
             "alphabet_size": n,
             "depth": args.depth,
             "event_map": args.event_map,

@@ -213,8 +213,8 @@ class OrderSketch:
         """Estimates of the rows of a ``(k, m)`` int array of words: each
         table hashes the whole array, the hashed rows become offsets into
         level ``m``, and the minimum over tables is taken.  Raises ValueError
-        on a non-integer array, a letter outside the alphabet (checked first)
-        or ``m`` above the depth."""
+        on a non-integer or ragged array, a letter outside the alphabet
+        (checked first) or ``m`` above the depth."""
         words = _letter_array(words, self.alphabet_size)
         if words.ndim != 2:
             raise ValueError(f"words must be a (k, m) array, not shape {words.shape}")

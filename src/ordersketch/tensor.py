@@ -81,10 +81,13 @@ def _letter_array(letters, alphabet_size: int) -> np.ndarray:
     object array, as numpy makes for ints of 2**64 and more, must hold only
     letters, and so must a list or tuple: its entries are checked, not the
     one dtype numpy picks for them, which hides a bool among ints (int64)
-    and ints past int64 of both signs (float64).  The range test reads the
-    minimum and maximum; only a failure looks for the letter to report.  An
-    empty array passes."""
-    array = np.asarray(letters)  # numpy's own error on a ragged sequence
+    and ints past int64 of both signs (float64), and they must not be
+    ragged.  The range test reads the minimum and maximum; only a failure
+    looks for the letter to report.  An empty array passes."""
+    try:
+        array = np.asarray(letters)
+    except ValueError as exc:  # numpy's message on a ragged sequence names no rule
+        raise ValueError("letters must form a rectangular array, not a ragged sequence") from exc
     if isinstance(letters, (list, tuple)):
         entries = letters
         for _ in range(array.ndim - 1):

@@ -1,6 +1,5 @@
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from util import (
     random_stream,
     scale_stream,
     stream_features,
+    traced_peak,
 )
 
 KINDS = [EventMapKind.LINEAR, EventMapKind.EXP]
@@ -374,13 +374,7 @@ def test_depth_two_fold_allocates_no_bucket_by_chunk_array():
     rng = np.random.Generator(np.random.PCG64(22))
     lam, letters = rng.exponential(1.0, 100_000), rng.integers(0, 64, 100_000)
     phi = GradedTensor.unit(64, 2)
-    tracemalloc.start()
-    try:
-        features_from_arrays(lam, letters, phi, EventMapKind.EXP)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert traced_peak(features_from_arrays, lam, letters, phi, EventMapKind.EXP) < 2 * 2**20
 
 
 def test_depth_one_is_a_count_min_at_any_bucket_count():

@@ -233,6 +233,13 @@ def test_query_many_errors_match_query():
     with pytest.raises(ValueError, match="letter 18446744073709551616 outside alphabet"):
         sk.query_many(np.array([[1, 2**64]], dtype=object))
     assert sk.query_many(np.zeros((0, 2))).shape == (0,)  # no words: nothing to refuse
+    # a ragged list of words, or a word holding a word, is the rule's refusal, not numpy's
+    for ragged in ([[1, 2], [3]], ([1], 2), [[1, 2], [3, (4,)]]):
+        with pytest.raises(ValueError) as batch:
+            sk.query_many(ragged)
+        assert str(batch.value) == "letters must form a rectangular array, not a ragged sequence"
+    with pytest.raises(ValueError, match="^letters must form a rectangular array"):
+        sk.query((1, (2,)))
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])

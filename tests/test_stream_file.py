@@ -3,6 +3,9 @@
 ``read_stream_file`` parses with numpy's C reader and falls back to the
 line loop for every file that reader rejects or might read differently, so
 its arrays and its error messages must equal the loop's on any file.
+``build`` and ``exact`` read and fold the file in blocks, and on any error
+rerun the whole-file read: their snapshots, records and messages must equal
+those of one fold of the whole stream.
 """
 
 import json
@@ -10,13 +13,14 @@ import os
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ordersketch import cli
+from ordersketch import GradedTensor, OrderSketch, Stream, cli, features_from_arrays
 from ordersketch.cli import DataError, read_stream_file
 
-from util import read_stream_file_by_lines, run_cli
+from util import parse_records, read_stream_file_by_lines, run_cli, split_snapshot, traced_peak
 
 # tokens either reader may accept, reject, or read differently
 WEIGHT_TOKENS = ["1", "2.5", "0", "-0", ".5", "7.", "1e3", "+5", " 5 ", "5.0", "1_0", "0x1p3",
@@ -76,10 +80,46 @@ def read_outcome(reader, path) -> tuple:
 @example("alphabet_size=5\r\n1\t2\r\n\r\n3.5\t4\r\n")
 @example("alphabet_size=5\n1\t2")
 @example("alphabet_size=5\n1\x1f\t\x1f2\x1f\n")
-def test_reader_matches_the_line_loop(tmp_path, text):
+def test_reader_matches_the_line_loop(tmp_path, monkeypatch, text):
     path = tmp_path / "grammar.events"
     path.write_bytes(text.encode("ascii"))
-    assert read_outcome(read_stream_file, path) == read_outcome(read_stream_file_by_lines, path)
+    want = read_outcome(read_stream_file_by_lines, path)
+    assert read_outcome(read_stream_file, path) == want
+    with open(path, encoding="ascii") as fh:
+        numpy_reads_it = cli._parse_with_numpy(str(path), fh) is not None and want[0] != "error"
+    reads = record_reads(monkeypatch)
+    for rows in (1, 2, 3):
+        reads.clear()
+        assert read_outcome(lambda p: fold_in_blocks(p, rows), path) == want
+        if numpy_reads_it:  # then blocks read it too, with no whole-file rerun
+            assert reads == ["block"] * (len(want[1]) // rows + 1)
+
+
+def record_reads(monkeypatch) -> list:
+    """Route `cli.read_stream_file` through a recorder of its calls: "block"
+    for a block, "whole" for the whole file."""
+    reads, read = [], cli.read_stream_file
+
+    def recorded(path, block=None):
+        reads.append("whole" if block is None else "block")
+        return read(path, block)
+
+    monkeypatch.setattr(cli, "read_stream_file", recorded)
+    return reads
+
+
+def fold_in_blocks(path, rows: int) -> Stream:
+    """The stream `cli._fold_stream_file` reads from ``path`` in blocks of
+    ``rows`` events, gathered back into one Stream."""
+    def start(alphabet_size):
+        return (alphabet_size, []), rows
+
+    (alphabet_size, blocks), events = cli._fold_stream_file(
+        str(path), start, lambda state, block: state[1].append(block))
+    lams = np.concatenate([np.empty(0), *(b.lambdas for b in blocks)])
+    lets = np.concatenate([np.empty(0, np.int64), *(b.letters for b in blocks)])
+    assert events == lams.size
+    return Stream(lams, lets, alphabet_size)
 
 
 def test_reader_hands_numpy_the_open_file_not_the_path(tmp_path, monkeypatch):
@@ -132,3 +172,107 @@ def test_non_ascii_file_is_a_data_error_naming_the_file(tmp_path):
         assert read_outcome(read_stream_file_by_lines, path) == want
         code, out, err = run_cli(["build", str(path), str(tmp_path / "s.snap")])
         assert (code, out, err) == (2, "", f"ordersketch: data error: {path}: not ASCII text\n")
+
+
+BUILD_FLAGS = ["--epsilon", "0.1", "--delta", "0.5"]  # 20 buckets, one table, depth 2, exp
+BLOCK = cli._block_rows(20, 2)
+
+
+def write_events(path, lam, let, alphabet_size: int, edges=(), spacer: str = "") -> None:
+    """A stream file whose events at the indices in ``edges`` end in CRLF
+    and follow a ``spacer`` line; one more ``spacer`` line ends the file."""
+    lines = [f"{w!r}\t{a}" for w, a in zip(lam.tolist(), let.tolist())]
+    for i in sorted(edges, reverse=True):
+        if i < len(lines):
+            lines[i:i + 1] = [spacer, lines[i] + "\r"]
+    text = "".join(line + "\n" for line in [f"alphabet_size={alphabet_size}", *lines, spacer])
+    path.write_bytes(text.encode("ascii"))
+
+
+def one_extend_snapshot(path) -> bytes:
+    sketch = OrderSketch.from_parameters(0.1, 0.5, 2, "exp", 5, 0)
+    sketch.extend(read_stream_file(str(path)))
+    return sketch.to_snapshot()
+
+
+@pytest.mark.parametrize("weights", ["integer", "exp"])
+def test_build_in_blocks_folds_the_bits_of_one_extend(tmp_path, monkeypatch, weights):
+    rng = np.random.Generator(np.random.PCG64(31))
+    reads = record_reads(monkeypatch)
+    path, snap = tmp_path / "s.events", tmp_path / "s.snap"
+    edges = (0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK)
+    # a blank line numpy's reader skips; a whitespace-only line it refuses,
+    # which sends the whole file to the line loop
+    cases = [(size, "") for size in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)]
+    for size, spacer in cases + [(2 * BLOCK + 3, " ")]:
+        lam = (rng.integers(0, 4, size).astype(float) if weights == "integer"
+               else rng.exponential(1.0, size))
+        write_events(path, lam, rng.integers(0, 5, size), 5, edges, spacer)
+        reads.clear()
+        code, out, _ = run_cli(["build", str(path), str(snap), *BUILD_FLAGS])
+        assert code == 0 and parse_records(out)[0]["events"] == size
+        assert reads == (["block"] * (size // BLOCK + 1) if spacer == "" else ["block", "whole"])
+        got, want = snap.read_bytes(), one_extend_snapshot(path)
+        if weights == "integer" or spacer:
+            assert got == want
+            continue
+        (got_head, got_tables), (want_head, want_tables) = split_snapshot(got), split_snapshot(want)
+        assert got_tables.tobytes() == want_tables.tobytes()
+        got_l1, want_l1 = got_head.pop("stream_l1"), want_head.pop("stream_l1")
+        assert got_head == want_head
+        assert abs(got_l1 - want_l1) <= 1e-15 * want_l1
+
+
+def test_exact_folds_blocks_to_the_bits_of_the_whole_stream(tmp_path, monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(32))
+    n, depth = 3, 3
+    size = 2 * cli._block_rows(n, depth) + 3
+    lam, let = rng.exponential(1.0, size), rng.integers(0, n, size)
+    path = tmp_path / "s.events"
+    write_events(path, lam, let, n)
+    reads = record_reads(monkeypatch)
+    code, out, _ = run_cli(["exact", str(path), "--depth", str(depth)])
+    assert code == 0 and reads == ["block"] * 3
+    records = parse_records(out)
+    assert records[0]["events"] == size
+    want = features_from_arrays(lam, let, GradedTensor.unit(n, depth), "exp")
+    got = [np.array([r["value"] for r in records[1:] if r["level"] == m]) for m in range(depth + 1)]
+    for got_level, want_level in zip(got, want.levels):
+        assert got_level.tobytes() == want_level.tobytes()
+
+
+def test_a_refused_block_reports_the_whole_file_error(tmp_path):
+    size = 3 * BLOCK
+    path, snap = tmp_path / "s.events", tmp_path / "s.snap"
+    lines = [f"1.0\t{i % 5}" for i in range(size)]
+    second, third = BLOCK + 7, 2 * BLOCK + 1
+    letter = "letter 9 outside alphabet of size 5"
+    weight = "event weights must be finite and nonnegative"
+    cases = [
+        ({second: "1.0 3"}, f"{path}:{second + 2}: expected weight<TAB>letter"),
+        ({second: "1.0\t9"}, f"{path}: {letter}"),
+        ({second: "-1.0\t3"}, f"{path}: {weight}"),
+        # the whole file's letters are checked before its weights
+        ({3: "-1.0\t3", third: "1.0\t9"}, f"{path}: {letter}"),
+    ]
+    for edits, message in cases:
+        body = list(lines)
+        for i, line in edits.items():
+            body[i] = line
+        path.write_bytes("".join(f"{line}\n" for line in ["alphabet_size=5", *body]).encode())
+        assert run_cli(["build", str(path), str(snap)]) == (2, "", f"ordersketch: data error: {message}\n")
+        assert not snap.exists()
+        with pytest.raises(DataError) as whole:
+            read_stream_file(str(path))
+        assert str(whole.value) == message
+
+
+def test_build_memory_does_not_grow_with_the_stream(tmp_path):
+    # the whole-file build grows by about 31 bytes per event
+    rng = np.random.Generator(np.random.PCG64(33))
+    peaks = []
+    for size in (300_000, 900_000):
+        path = tmp_path / f"{size}.events"
+        write_events(path, np.ones(size), rng.integers(0, 1000, size), 1000)
+        peaks.append(traced_peak(run_cli, ["build", str(path), str(tmp_path / "s.snap")]))
+    assert size > 2 * BLOCK and abs(peaks[1] - peaks[0]) < 2**20, peaks

@@ -1,11 +1,12 @@
 """Shared test helpers: random streams, independent reference oracles, and
-an in-process CLI runner."""
+an in-process CLI runner, and a memory probe."""
 
 from __future__ import annotations
 
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, combinations_with_replacement
 
@@ -302,6 +303,16 @@ def run_cli(args) -> tuple:
     with redirect_stdout(out), redirect_stderr(err):
         code = cli_main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+def traced_peak(fn, *args) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one call ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def parse_records(stdout: str) -> list:
