@@ -196,10 +196,6 @@ def _add_sketch_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
-# the errors a command reports: a block that raises one reruns the whole file
-_REPORTED = (UsageError, DataError, CandidateCapError, MemoryError, OSError, ValueError)
-
-
 def _block_rows(n: int, depth: int) -> int:
     """Events per block: whole fold chunks, so a stream folds to the same
     bits block by block, about ``2**17`` events when a chunk is shorter."""
@@ -212,10 +208,11 @@ def _fold_stream_file(path: str, start, fold) -> tuple:
 
     ``start(alphabet_size)`` gives ``(state, rows)``; then ``fold(state,
     stream)`` takes the events ``rows`` at a time, each block parsed by
-    `read_stream_file`, so the parsed file is never held whole.  On any error
-    the partial state is dropped and the whole file is read, started and
-    folded once: the letters are then checked across the file before the
-    weights, and the messages and line numbers are the whole-file read's.
+    `read_stream_file`, so the parsed file is never held whole.  On any
+    exception, a numpy warning raised as one included, the partial state is
+    dropped and the whole file is read, started and folded once: the letters
+    are then checked across the file before the weights, and the outcome is
+    the whole-file read's.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -229,7 +226,7 @@ def _fold_stream_file(path: str, start, fold) -> tuple:
                     events += len(block)
                     if len(block) < rows:
                         return state, events
-    except _REPORTED:
+    except Exception:  # the whole-file read below reports it, or reads past it
         pass
     stream = read_stream_file(path)
     state, _ = start(stream.alphabet_size)

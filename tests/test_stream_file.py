@@ -267,6 +267,35 @@ def test_a_refused_block_reports_the_whole_file_error(tmp_path):
         assert str(whole.value) == message
 
 
+@pytest.mark.parametrize("command", ["build", "exact"])
+@pytest.mark.parametrize("raised", [DeprecationWarning, RuntimeError])
+def test_any_exception_in_a_block_reports_the_whole_file_error(tmp_path, monkeypatch, command,
+                                                                raised):
+    # numpy 1.x warns on the letter "5.0", which `_numpy_rows` raises as an
+    # error; so may any exception a block read raises, of whatever type
+    path, snap = tmp_path / "s.events", tmp_path / "s.snap"
+    bad = BLOCK + 7
+    body = [f"1.0\t{i % 5}" for i in range(3 * BLOCK)]
+    body[bad] = "1.0\t5.0"
+    path.write_bytes("".join(f"{line}\n" for line in ["alphabet_size=5", *body]).encode())
+    rows, calls = cli._numpy_rows, []
+
+    def second_block_raises(fh, count=None):
+        calls.append(count)
+        if (count is not None and len(calls) == 2) or (count is None and raised is DeprecationWarning):
+            raise raised("fake")
+        return rows(fh, count)
+
+    monkeypatch.setattr(cli, "_numpy_rows", second_block_raises)
+    args = ["build", str(path), str(snap)] if command == "build" else ["exact", str(path)]
+    message = f"{path}:{bad + 2}: malformed event"
+    assert run_cli(args) == (2, "", f"ordersketch: data error: {message}\n")
+    assert calls[0] and calls[1] and calls[-1] is None and not snap.exists()
+    with pytest.raises(DataError) as whole:
+        read_stream_file(str(path))
+    assert str(whole.value) == message
+
+
 def test_build_memory_does_not_grow_with_the_stream(tmp_path):
     # the whole-file build grows by about 31 bytes per event
     rng = np.random.Generator(np.random.PCG64(33))
