@@ -30,14 +30,13 @@ from .features import EventMapKind, features_from_arrays
 from .hashing import (
     AffineHash,
     HashFamilySpec,
-    _is_int,
     _is_number,
     derive_seed,
     sample_hashes,
     smallest_prime_geq,
 )
 from .sketch import OrderSketch, dense_pullback, mine_heavy_patterns
-from .tensor import GradedTensor, Stream, l1_level_norm
+from .tensor import GradedTensor, Stream, _integer, _is_letter, l1_level_norm
 
 # -- generators --------------------------------------------------------------
 
@@ -52,7 +51,9 @@ def gen_heavy_tail_stream(
     """I.i.d. unit-weight letters; ids below ``heavy_count`` share
     ``heavy_mass`` of the draw probability uniformly, the rest split the
     remainder uniformly."""
-    if not 0 <= heavy_count <= alphabet_size:
+    alphabet_size = _integer("alphabet_size", alphabet_size, 1)
+    length, seed = _integer("length", length, 0), _integer("seed", seed, 0)
+    if not 0 <= _integer("heavy_count", heavy_count) <= alphabet_size:
         raise ValueError("heavy_count outside 0..alphabet_size")
     if not 0.0 <= heavy_mass <= 1.0:
         raise ValueError("heavy_mass outside [0, 1]")
@@ -93,12 +94,11 @@ class MarkovExperimentConfig:
     segments: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.alphabet_size < 3:
-            raise ValueError("need letters 1 and 2 plus at least one filler letter")
+        # letters 1 and 2 plus at least one filler letter; three positive segments
+        for key, low in (("alphabet_size", 3), ("total_length", 4), ("seed", 0)):
+            object.__setattr__(self, key, _integer(key, getattr(self, key), low))
         if not (0 < self.p < 1 and 0 < self.q < 1):
             raise ValueError("p and q must lie in (0, 1)")
-        if self.total_length < 4:
-            raise ValueError("need three positive segments")
         quarter = self.total_length // 4
         object.__setattr__(self, "segments", (quarter, quarter, self.total_length - 2 * quarter))
         object.__setattr__(self, "stream_class", StreamClass(self.stream_class))
@@ -195,6 +195,7 @@ def train_linear_classifier(
     increase the regularized loss, so the recorded loss history is
     non-increasing.  The fit is deterministic.
     """
+    epochs = _integer("epochs", epochs, 0)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -248,7 +249,7 @@ def train_linear_classifier(
 
 
 def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
+    return _is_letter(value) and value >= 1
 
 
 def _is_grid(is_item):
@@ -285,7 +286,7 @@ class ExperimentOneConfig:
         _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "length", "heavy_count",
                       "depth", "repetitions")
         _check_fields(self, _is_number, "a number", "heavy_mass")
-        _check_fields(self, _is_int, "an int", "base_seed")
+        _check_fields(self, _is_letter, "an int", "base_seed")
         _check_fields(self, _is_grid(_is_count), "a non-empty list of ints >= 1",
                       "bucket_counts", "hash_counts")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
@@ -390,7 +391,7 @@ class ExperimentTwoConfig:
                       "chunk_size")
         _check_fields(self, _is_number, "a number", "p", "epsilon", "delta", "rho",
                       "test_fraction", "l2")
-        _check_fields(self, _is_int, "an int", "base_seed")
+        _check_fields(self, _is_letter, "an int", "base_seed")
         _check_fields(self, _is_grid(_is_number), "a non-empty list of numbers", "q_values")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
 

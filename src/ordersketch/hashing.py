@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import _letter_array
+from .tensor import _integer, _letter_array
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,8 +50,9 @@ def _is_prime(n: int) -> bool:
 
 
 def smallest_prime_geq(m: int) -> int:
-    """Smallest prime >= m; requires 2 <= m < 2**61."""
-    if not 2 <= m < (1 << 61):
+    """Smallest prime >= m; requires an integer 2 <= m < 2**61."""
+    m = _integer("m", m, 2)
+    if m >= 1 << 61:
         raise ValueError("m must be in [2, 2**61)")
     n = m
     while not _is_prime(n):
@@ -84,10 +85,6 @@ class _SplitMix64:
 PRNG_ID = "splitmix64"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -108,8 +105,8 @@ class AffineHash:
     n: int
 
     def __post_init__(self):
-        if not all(map(_is_int, (self.a, self.b, self.p, self.n))):
-            raise ValueError("hash parameters a, b, p and n must be integers")
+        for key in ("a", "b", "p", "n"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if not (_is_prime(self.p) and self.p < (1 << 61)):
             raise ValueError("p must be a prime below 2**61")
         if not 1 <= self.a < self.p:
@@ -151,15 +148,14 @@ class HashFamilySpec:
     p: int = field(init=False)
 
     def __post_init__(self):
-        if self.source_size < 1 or self.target_size < 1:
-            raise ValueError("sizes must be positive")
+        for key, low in (("source_size", 1), ("target_size", 1), ("seed", None)):
+            object.__setattr__(self, key, _integer(key, getattr(self, key), low))
         object.__setattr__(self, "p", smallest_prime_geq(max(self.source_size, 2)))
 
 
 def sample_hashes(spec: HashFamilySpec, r: int) -> list:
     """Draw ``r`` independent hashes; the seed fully determines the result."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    r = _integer("r", r, 0)
     gen = _SplitMix64(spec.seed)
     out = []
     for _ in range(r):

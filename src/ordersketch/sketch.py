@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,12 +53,12 @@ from .hashing import (
     PRNG_ID,
     AffineHash,
     HashFamilySpec,
-    _is_int,
     _is_number,
     eval_hash_array,
     sample_hashes,
 )
-from .tensor import GradedTensor, Stream, _letter_array, truncated_product, word_from_index
+from .tensor import (GradedTensor, Stream, _integer, _letter_array, truncated_product,
+                     word_from_index)
 
 SNAPSHOT_FORMAT = "order-sketch-snapshot"
 SNAPSHOT_VERSION = 2
@@ -104,16 +104,13 @@ class OrderSketch:
     stream_l1: float = 0.0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
+        for key, low in (("depth", 1), ("alphabet_size", 1), ("seed", None), ("events_seen", 0)):
+            setattr(self, key, _integer(key, getattr(self, key), low))
         if not self.hashes:
             raise ValueError("need at least one hash")
         if len({(h.p, h.n) for h in self.hashes}) != 1:
             raise ValueError("hashes must share p and bucket count")
-        self.depth, self.alphabet_size = int(self.depth), int(self.alphabet_size)
-        self.seed, self.kind = int(self.seed), EventMapKind(self.kind)
+        self.kind = EventMapKind(self.kind)
         if self.hashes[0].p < self.alphabet_size:
             raise ValueError(f"hash prime {self.hashes[0].p} is below the alphabet size")
         buckets = self.hashes[0].n
@@ -133,8 +130,6 @@ class OrderSketch:
         _require_finite(self.tables, *scalars)
         if not (self.epsilon > 0 and 0 < self.delta < 1 and self.stream_l1 >= 0):
             raise ValueError(f"need epsilon > 0, 0 < delta < 1, stream_l1 >= 0, not {scalars}")
-        if not (_is_int(self.events_seen) and self.events_seen >= 0):
-            raise ValueError(f"events_seen must be an integer >= 0, not {self.events_seen!r}")
 
     @classmethod
     def from_parameters(
@@ -148,10 +143,11 @@ class OrderSketch:
     ) -> OrderSketch:
         """Draw the hashes from the seed into ``ceil(2 / epsilon)`` buckets and
         ``max(1, ceil(log2(1 / delta)))`` tables (0 < epsilon <= 1, 0 < delta < 1)."""
-        if not 0 < epsilon <= 1:
+        if not (_is_number(epsilon) and 0 < epsilon <= 1):
             raise ValueError("need 0 < epsilon <= 1")
-        if not 0 < delta < 1:
+        if not (_is_number(delta) and 0 < delta < 1):
             raise ValueError("need 0 < delta < 1")
+        alphabet_size = _integer("alphabet_size", alphabet_size, 1)
         buckets = math.ceil(2.0 / epsilon)
         hash_count = max(1, math.ceil(math.log2(1.0 / delta)))
         return cls(
@@ -239,14 +235,9 @@ class OrderSketch:
 
         if params(self) != params(other):
             raise ValueError("cannot merge sketches with different parameters or hashes")
-        return OrderSketch(
-            list(self.hashes),
-            self.depth,
-            self.kind,
-            self.alphabet_size,
-            self.seed,
-            epsilon=self.epsilon,
-            delta=self.delta,
+        return replace(
+            self,
+            hashes=list(self.hashes),
             tables=[truncated_product(a, b) for a, b in zip(self.tables, other.tables)],
             events_seen=self.events_seen + other.events_seen,
             stream_l1=self.stream_l1 + other.stream_l1,
@@ -293,10 +284,8 @@ class OrderSketch:
             hashes = [AffineHash(h["a"], h["b"], h["p"], h["n"]) for h in doc["hashes"]]
             if len(hashes) != doc["hash_count"]:
                 raise ValueError(f"snapshot has {len(hashes)} hashes, not {doc['hash_count']}")
-            for key in ("alphabet_size", "bucket_count", "depth", "seed"):
-                if not _is_int(doc[key]):
-                    raise ValueError(f"snapshot {key} must be an integer, not {doc[key]!r}")
-            buckets, depth = doc["bucket_count"], doc["depth"]
+            buckets = _integer("bucket_count", doc["bucket_count"], 1)
+            depth = _integer("depth", doc["depth"], 1)
             sizes = [1]  # level sizes; the bound on the payload stops a huge depth early
             while len(sizes) <= depth and 8 * (len(sizes) + sizes[-1]) <= len(body):
                 sizes.append(sizes[-1] * buckets)
@@ -338,8 +327,7 @@ def dense_pullback(
         letters = np.arange(sketch.alphabet_size)
     letters = _letter_array(letters, sketch.alphabet_size)
     k = letters.size
-    if max_coordinates < 0:
-        raise ValueError(f"max_coordinates must be >= 0, not {max_coordinates}")
+    max_coordinates = _integer("max_coordinates", max_coordinates, 0)
     total = sum(k**m for m in range(1, sketch.depth + 1))
     if total > max_coordinates:
         raise CandidateCapError(
@@ -393,10 +381,8 @@ def mine_heavy_patterns(
         raise ValueError("need at least one threshold")
     if not all(math.isfinite(rho) and rho > 0 for rho in rhos):
         raise ValueError("thresholds must be finite and > 0")
-    if not (_is_int(chunk_size) and chunk_size >= 1):
-        raise ValueError(f"chunk_size must be an integer >= 1, not {chunk_size!r}")
-    if candidate_cap < 0:
-        raise ValueError(f"candidate_cap must be >= 0, not {candidate_cap}")
+    chunk_size = _integer("chunk_size", chunk_size, 1)
+    candidate_cap = _integer("candidate_cap", candidate_cap, 0)
     sketch = OrderSketch.from_parameters(epsilon, delta, depth, kind, stream.alphabet_size, seed)
     sketch.extend(stream)
     seen, last = np.unique(stream.letters[::-1], return_index=True)  # last occurrences

@@ -5,6 +5,10 @@ Conventions used across the package:
 * A letter is an int or numpy integer (never a bool) in
   ``range(alphabet_size)``.  Every entry point checks letters by that one
   rule, `_letter_array`, or by its predicate and messages letter by letter.
+* An integer argument (a size, depth, count, cap or seed) passes the same
+  type test, then its lower bound, in `_integer`, which returns it as a
+  Python int for the caller to store: a float, bool or string is refused
+  with ``{name} must be an integer, not {value!r}``, never truncated.
 * A word is a tuple of letter ids; the empty tuple is the unit word. In text
   form a word is its ids joined by ``"."`` (``"0.1.0"``); the empty word is
   the empty string.
@@ -57,6 +61,16 @@ def _is_letter_type(t: type) -> bool:
 
 def _is_letter(a) -> bool:
     return _is_letter_type(type(a))
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is a
+    non-bool Python or numpy integer, and at least ``low`` when one is given."""
+    if not _is_letter_type(type(value)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, not {value!r}")
+    return int(value)
 
 
 def _all_letters(entries) -> bool:
@@ -146,8 +160,7 @@ class Stream:
     alphabet_size: int
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
+        object.__setattr__(self, "alphabet_size", _integer("alphabet_size", self.alphabet_size, 1))
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=np.float64))
         let = _letter_array(self.letters, self.alphabet_size)
         if lam.ndim != 1 or let.ndim != 1 or lam.shape != let.shape:
@@ -192,8 +205,8 @@ class GradedTensor:
     levels: list | None = None  # list[np.ndarray]; None means all zeros
 
     def __post_init__(self):
-        if self.alphabet_size < 1 or self.depth < 0:
-            raise ValueError("need alphabet_size >= 1 and depth >= 0")
+        self.alphabet_size = _integer("alphabet_size", self.alphabet_size, 1)
+        self.depth = _integer("depth", self.depth, 0)
         if self.levels is None:
             self.levels = [np.zeros(self.alphabet_size**m) for m in range(self.depth + 1)]
         if len(self.levels) != self.depth + 1:

@@ -173,6 +173,31 @@ def _int64_casts(path: Path) -> list:
     return out
 
 
+def test_one_module_owns_the_integer_rule():
+    # tensor.py's one type test serves letters and integer arguments alike
+    for path in sorted((ROOT / "src" / "ordersketch").glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        assert "must be an integer" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "integer"), path.name
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") in (
+                "isinstance", "issubclass"
+            ):
+                assert getattr(node.args[1], "id", "") != "int", path.name
+            if isinstance(node, ast.FunctionDef):
+                assert not node.name.startswith("_is_int"), path.name
+    sketch = ast.parse((ROOT / "src" / "ordersketch" / "sketch.py").read_text(encoding="utf-8"))
+    coercions = [
+        ast.unparse(node) for node in ast.walk(sketch)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "int"
+        and node.args and isinstance(node.args[0], ast.Attribute)
+        and getattr(node.args[0].value, "id", "") == "self"
+    ]
+    assert coercions == []
+
+
 def test_one_module_owns_the_letter_rule():
     sources = sorted((ROOT / "src" / "ordersketch").glob("*.py"))
     for path in sources:

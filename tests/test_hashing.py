@@ -54,7 +54,8 @@ def test_affine_hash_validation():
     "params", [dict(a=6.5), dict(b=0.0), dict(p=7.0), dict(n=3.0), dict(a=True), dict(n=True)]
 )
 def test_affine_hash_parameters_must_be_integers(params):
-    with pytest.raises(ValueError, match="integers"):
+    (key,) = params
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, not "):
         AffineHash(**{"a": 1, "b": 0, "p": 7, "n": 3, **params})
 
 def test_identity_style_hash():

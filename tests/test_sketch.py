@@ -562,7 +562,7 @@ def test_snapshot_level_lengths_must_match_buckets():
 def test_snapshot_header_values_are_checked(changes):
     # the CLI cases in test_cli.py cover the hash parameters, events_seen and stream_l1
     header, values = snapshot_doc()
-    with pytest.raises(ValueError, match="integer|payload"):
+    with pytest.raises(ValueError, match="must be an integer|must be >= 1|payload"):
         load_doc(dict(header, **changes), values)
 
 
