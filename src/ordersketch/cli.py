@@ -16,6 +16,13 @@ summed block by block (on non-integer weights its last bit can move).  Any
 error reruns the command on the whole file, which reports it as a
 whole-file read does.  ``heavy`` reads the whole stream.
 
+When the first block is full, ``os.fork`` exists and the process may run on
+two or more CPUs, a forked child parses the later blocks one block ahead
+while this process folds them in file order, so the output is unchanged;
+the command's memory is then split over two processes.  On Python 3.12 and
+later, ``os.fork`` warns in a process that runs threads (OpenBLAS starts
+some); the child calls no BLAS routine.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource guard.
 """
 
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
+import os
 import sys
 import time
 import warnings
@@ -70,6 +79,7 @@ def _note(message: str) -> None:
 
 
 _EVENT_ROW = np.dtype([("w", "<f8"), ("a", "<i8")])
+_SIGKILL = 9  # fixed by POSIX; the signal module would add a pure-Python import
 # numpy's number parser skips these as spaces; the line loop ends a line at all
 # but the last (str.splitlines), and its float() and int() reject the last
 _NUMPY_ONLY_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
@@ -78,15 +88,15 @@ _NUMPY_ONLY_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
 def read_stream_file(path: str, block: tuple | None = None) -> Stream:
     """The stream in the file at ``path``.
 
-    Given ``block = (fh, alphabet_size, rows)``, with ``fh`` that file open
-    at the body `_numpy_body` accepted, only its next ``rows`` events (fewer
-    at the end of the file), read by numpy's reader alone.  A block raises
-    numpy's or `Stream`'s own error: only the whole-file read names the bad
-    line, and `_fold_stream_file` reruns it for that.
+    Given ``block = (next_rows, alphabet_size)``, only the file's next
+    block: ``next_rows()`` gives its weights and letters, read by numpy's
+    reader alone.  A block raises numpy's or `Stream`'s own error: only the
+    whole-file read names the bad line, and `_fold_stream_file` reruns it
+    for that.
     """
     if block is not None:
-        fh, alphabet_size, rows = block
-        return Stream(*_numpy_rows(fh, rows), alphabet_size)
+        next_rows, alphabet_size = block
+        return Stream(*next_rows(), alphabet_size)
     try:
         with open(path, "r", encoding="ascii") as fh:
             parsed = _parse_with_numpy(path, fh)
@@ -112,39 +122,47 @@ def _parse_with_numpy(path: str, fh):
     Every file accepted here gives the loop's arrays bit for bit.
     """
     try:
-        alphabet_size = _numpy_body(path, fh)
-        return None if alphabet_size is None else (alphabet_size, *_numpy_rows(fh))
+        body = _numpy_body(path, fh)
+        return None if body is None else (body[0], *_numpy_rows(body[1]))
     except (DataError, ValueError, Warning):
         return None
 
 
-def _numpy_body(path: str, fh) -> int | None:
-    """The header's alphabet size, with ``fh`` left at the start of the body,
-    or None where numpy's reader may read the body differently from the line
-    loop: a header it might split, or a character that numpy reads as a
-    space and the loop does not.  Raises the header's DataError."""
+def _numpy_body(path: str, fh) -> tuple | None:
+    """The header's alphabet size and the body's lines for numpy's reader,
+    with ``fh`` left at the start of the body, or None where numpy's reader
+    may read the body differently from the line loop: a header it might
+    split, or a character that numpy reads as a space and the loop does not.
+    The lines are ``fh`` itself unless the body may hold a whitespace-only
+    line, which numpy refuses and the loop skips: then they skip such lines.
+    Raises the header's DataError."""
     header = fh.readline().splitlines()
     if len(header) != 1:
         return None
     alphabet_size = _parse_header(path, header[0])
-    body = fh.tell()
+    body, spaced = fh.tell(), False
     while chunk := fh.read(1 << 20):
         if any(c in chunk for c in _NUMPY_ONLY_SPACES):
             return None
+        if not spaced:  # any space, or a tab that ends a line or the chunk
+            codes = np.frombuffer(chunk.encode("ascii"), np.uint8)
+            spaced = (" " in chunk or chunk[-1] == "\t"
+                      or bool(np.any((codes[:-1] == 9) & (codes[1:] == 10))))
     fh.seek(body)
-    return alphabet_size
+    return alphabet_size, ((line for line in fh if not line.isspace()) if spaced else fh)
 
 
-def _numpy_rows(fh, rows: int | None = None) -> tuple:
-    """Weights and letters of the next ``rows`` events of ``fh`` (all by
-    default) from numpy's C reader, which raises ValueError, or a Warning, on
-    any line it rejects or warns about.  numpy reads ``fh`` as a handle, never
-    the path, so it cannot pick a decompressor from the file's suffix."""
+def _numpy_rows(lines, rows: int | None = None) -> tuple:
+    """Weights and letters of the next ``rows`` events of ``lines`` (all by
+    default), an open file or an iterator of its lines, from numpy's C
+    reader, which raises ValueError, or a Warning, on any line it rejects or
+    warns about.  numpy never sees the path, so it cannot pick a
+    decompressor from the file's suffix."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the empty-input warning, numpy 1.x's "5.0" as an int
         if rows is not None:  # a block may skip blank lines, and read none at the end
             warnings.filterwarnings("ignore", r"(loadtxt: )?input (line \d+ )?contained no data")
-        table = np.loadtxt(fh, delimiter="\t", dtype=_EVENT_ROW, comments=None,
+        table = np.loadtxt(lines, delimiter="\t", dtype=_EVENT_ROW, comments=None,
                            quotechar=None, ndmin=1, max_rows=rows)
     return table["w"], table["a"]
 
@@ -208,30 +226,123 @@ def _fold_stream_file(path: str, start, fold) -> tuple:
 
     ``start(alphabet_size)`` gives ``(state, rows)``; then ``fold(state,
     stream)`` takes the events ``rows`` at a time, each block parsed by
-    `read_stream_file`, so the parsed file is never held whole.  On any
-    exception, a numpy warning raised as one included, the partial state is
-    dropped and the whole file is read, started and folded once: the letters
-    are then checked across the file before the weights, and the outcome is
-    the whole-file read's.
+    `read_stream_file`, so the parsed file is never held whole.  When the
+    first block is full and `_parse_ahead_runs` beside the fold, a
+    `_ParseAhead` child parses the later ones.  On any exception, a numpy
+    warning raised as one included, the child is stopped, the partial state
+    is dropped and the whole file is read, started and folded once: the
+    letters are then checked across the file before the weights, and the
+    outcome is the whole-file read's.
     """
+    child = None
     try:
         with open(path, "r", encoding="ascii") as fh:
-            alphabet_size = _numpy_body(path, fh)
-            if alphabet_size is not None:
+            body = _numpy_body(path, fh)
+            if body is not None:
+                alphabet_size, lines = body
                 state, rows = start(alphabet_size)
+                next_rows = lambda: _numpy_rows(lines, rows)
+                block = read_stream_file(path, (next_rows, alphabet_size))
+                if len(block) == rows and _parse_ahead_runs():
+                    child = _ParseAhead(lines, rows)
+                    next_rows = child.next_rows
                 events = 0
                 while True:
-                    block = read_stream_file(path, (fh, alphabet_size, rows))
                     fold(state, block)
                     events += len(block)
                     if len(block) < rows:
                         return state, events
+                    block = read_stream_file(path, (next_rows, alphabet_size))
     except Exception:  # the whole-file read below reports it, or reads past it
         pass
+    finally:
+        if child is not None:
+            child.stop()
     stream = read_stream_file(path)
     state, _ = start(stream.alphabet_size)
     fold(state, stream)
     return state, len(stream)
+
+
+def _parse_ahead_runs() -> bool:
+    """Whether a parse-ahead child can run beside the fold: ``os.fork``
+    exists and this process may run on two or more CPUs.  On one, the two
+    processes would only take turns, and the build reads slower."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _ParseAhead:
+    """A forked child that parses a file's blocks after the first, one
+    block ahead of the parent's fold.
+
+    Blocks pass through a ring of two slots of ``rows`` events in shared
+    memory.  The ``ready`` pipe carries each block's row count to the parent,
+    which copies the block out of its slot before it hands the slot back on
+    the ``free`` pipe, so no view of the ring reaches the fold.  The child
+    never writes to stdout or stderr and always leaves through ``os._exit``:
+    after the last block, that is the first short one, on any error, or at
+    the end of ``free``.  The parent then reads the end of ``ready``, and
+    `next_rows` raises.
+    """
+
+    def __init__(self, lines, rows: int):
+        self.rows, self.taken = rows, 0
+        self.ring = mmap.mmap(-1, 2 * rows * _EVENT_ROW.itemsize)
+        self.ready, ready = os.pipe()
+        free, self.free = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (self.ready, ready, free, self.free):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(self.ready)
+                os.close(self.free)
+                self._parse(lines, ready, free)
+            finally:
+                os._exit(0)
+        os.close(ready)
+        os.close(free)
+
+    def _slot(self, index: int) -> np.ndarray:
+        return np.frombuffer(self.ring, _EVENT_ROW, self.rows,
+                             index % 2 * self.rows * _EVENT_ROW.itemsize)
+
+    def _parse(self, lines, ready: int, free: int) -> None:
+        index = 0
+        while index < 2 or os.read(free, 1):  # the parent has freed this slot
+            lams, lets = _numpy_rows(lines, self.rows)
+            slot = self._slot(index)
+            slot["w"][:lams.size], slot["a"][:lets.size] = lams, lets
+            os.write(ready, lams.size.to_bytes(8, "little"))
+            if lams.size < self.rows:
+                return
+            index += 1
+
+    def next_rows(self) -> tuple:
+        count = os.read(self.ready, 8)
+        if len(count) < 8:
+            raise EOFError("the parse-ahead child stopped before the last block")
+        table = self._slot(self.taken)[:int.from_bytes(count, "little")].copy()
+        self.taken += 1
+        try:
+            os.write(self.free, b"\0")
+        except BrokenPipeError:  # the child has parsed the last block and left
+            pass
+        return table["w"], table["a"]
+
+    def stop(self) -> None:
+        os.kill(self.pid, _SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self.ready)
+        os.close(self.free)
+        self.ring.close()
 
 
 def cmd_build(args) -> int:

@@ -289,6 +289,7 @@ class ExperimentOneConfig:
         _check_fields(self, _is_letter, "an int", "base_seed")
         _check_fields(self, _is_grid(_is_count), "a non-empty list of ints >= 1",
                       "bucket_counts", "hash_counts")
+        _check_fields(self, lambda v: isinstance(v, bool), "a bool", "include_identity_row")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
 
 

@@ -374,9 +374,16 @@ def mine_heavy_patterns(
     lam)``: the numbers a fold per chunk adds, in its order.  The words of
     length 1..depth over the retained letters are then read with
     :func:`dense_pullback` per threshold, raising :class:`CandidateCapError`
-    past ``candidate_cap`` (>= 0).  Thresholds must be finite and positive.
+    past ``candidate_cap`` (>= 0).  Thresholds must be a list of finite,
+    positive numbers.
     """
-    rhos = [float(r) for r in thresholds]
+    try:
+        rhos = list(thresholds)
+    except TypeError:
+        rhos = None
+    if rhos is None or not all(map(_is_number, rhos)):
+        raise ValueError(f"thresholds must be a list of numbers, not {thresholds!r}")
+    rhos = [float(r) for r in rhos]
     if not rhos:
         raise ValueError("need at least one threshold")
     if not all(math.isfinite(rho) and rho > 0 for rho in rhos):

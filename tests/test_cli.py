@@ -595,6 +595,7 @@ def test_experiment_rejects_unknown_config_keys(tmp_path):
         ("table2", {"p": "x"}),
         ("table1", [1]),  # not a JSON object
         ("table2", None),  # no config file at all
+        ("table1", {"include_identity_row": "false"}),  # a string, not a bool
     ],
 )
 def test_experiment_bad_config_field_is_data_error(tmp_path, name, overrides):

@@ -731,6 +731,9 @@ def test_mining_rejects_bad_arguments():
     with pytest.raises(ValueError, match="candidate_cap"):
         mine_heavy_patterns(s, [10.0], 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0,
                             candidate_cap=-1)
+    for thresholds in (2.5, ["2.5"], [True], [10.0, None]):
+        with pytest.raises(ValueError, match="^thresholds must be a list of numbers"):
+            mine_heavy_patterns(s, thresholds, 1 / 8, 0.25, 2, EventMapKind.LINEAR, seed=0)
 
 
 MINING_ARGS = (1 / 8, 0.25)  # epsilon, delta: 16 buckets and 2 tables

@@ -3,13 +3,16 @@
 ``read_stream_file`` parses with numpy's C reader and falls back to the
 line loop for every file that reader rejects or might read differently, so
 its arrays and its error messages must equal the loop's on any file.
-``build`` and ``exact`` read and fold the file in blocks, and on any error
-rerun the whole-file read: their snapshots, records and messages must equal
-those of one fold of the whole stream.
+``build`` and ``exact`` read and fold the file in blocks, the later ones
+parsed by a forked child where two CPUs are free, and on any error rerun the
+whole-file read: their snapshots, records and messages must equal those of
+one fold of the whole stream.  Recorders of the reads write to a file, so
+that they see the child's reads too.
 """
 
 import json
 import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -87,18 +90,38 @@ def test_reader_matches_the_line_loop(tmp_path, monkeypatch, text):
     assert read_outcome(read_stream_file, path) == want
     with open(path, encoding="ascii") as fh:
         numpy_reads_it = cli._parse_with_numpy(str(path), fh) is not None and want[0] != "error"
-    reads = record_reads(monkeypatch)
+    reads = record_reads(monkeypatch, tmp_path)
     for rows in (1, 2, 3):
         reads.clear()
         assert read_outcome(lambda p: fold_in_blocks(p, rows), path) == want
         if numpy_reads_it:  # then blocks read it too, with no whole-file rerun
-            assert reads == ["block"] * (len(want[1]) // rows + 1)
+            assert reads() == ["block"] * (len(want[1]) // rows + 1)
 
 
-def record_reads(monkeypatch) -> list:
+class FileLog:
+    """A list of lines kept in a new file under ``directory``, which a
+    forked child appends to as well; calling it gives the lines."""
+
+    def __init__(self, directory):
+        fd, self.path = tempfile.mkstemp(suffix=".log", dir=directory)
+        os.close(fd)
+
+    def append(self, entry) -> None:
+        with open(self.path, "a", encoding="ascii") as fh:
+            fh.write(f"{entry}\n")
+
+    def clear(self) -> None:
+        open(self.path, "w").close()
+
+    def __call__(self) -> list:
+        with open(self.path, encoding="ascii") as fh:
+            return fh.read().splitlines()
+
+
+def record_reads(monkeypatch, tmp_path) -> FileLog:
     """Route `cli.read_stream_file` through a recorder of its calls: "block"
     for a block, "whole" for the whole file."""
-    reads, read = [], cli.read_stream_file
+    reads, read = FileLog(tmp_path), cli.read_stream_file
 
     def recorded(path, block=None):
         reads.append("whole" if block is None else "block")
@@ -198,22 +221,22 @@ def one_extend_snapshot(path) -> bytes:
 @pytest.mark.parametrize("weights", ["integer", "exp"])
 def test_build_in_blocks_folds_the_bits_of_one_extend(tmp_path, monkeypatch, weights):
     rng = np.random.Generator(np.random.PCG64(31))
-    reads = record_reads(monkeypatch)
+    reads = record_reads(monkeypatch, tmp_path)
     path, snap = tmp_path / "s.events", tmp_path / "s.snap"
     edges = (0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK)
-    # a blank line numpy's reader skips; a whitespace-only line it refuses,
-    # which sends the whole file to the line loop
+    # a blank line numpy's reader skips; whitespace-only lines it refuses,
+    # so the blocks skip them before numpy sees them
     cases = [(size, "") for size in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)]
-    for size, spacer in cases + [(2 * BLOCK + 3, " ")]:
+    for size, spacer in cases + [(2 * BLOCK + 3, " "), (2 * BLOCK + 3, "\t"), (BLOCK + 1, " \t ")]:
         lam = (rng.integers(0, 4, size).astype(float) if weights == "integer"
                else rng.exponential(1.0, size))
         write_events(path, lam, rng.integers(0, 5, size), 5, edges, spacer)
         reads.clear()
         code, out, _ = run_cli(["build", str(path), str(snap), *BUILD_FLAGS])
         assert code == 0 and parse_records(out)[0]["events"] == size
-        assert reads == (["block"] * (size // BLOCK + 1) if spacer == "" else ["block", "whole"])
+        assert reads() == ["block"] * (size // BLOCK + 1)
         got, want = snap.read_bytes(), one_extend_snapshot(path)
-        if weights == "integer" or spacer:
+        if weights == "integer":
             assert got == want
             continue
         (got_head, got_tables), (want_head, want_tables) = split_snapshot(got), split_snapshot(want)
@@ -230,9 +253,9 @@ def test_exact_folds_blocks_to_the_bits_of_the_whole_stream(tmp_path, monkeypatc
     lam, let = rng.exponential(1.0, size), rng.integers(0, n, size)
     path = tmp_path / "s.events"
     write_events(path, lam, let, n)
-    reads = record_reads(monkeypatch)
+    reads = record_reads(monkeypatch, tmp_path)
     code, out, _ = run_cli(["exact", str(path), "--depth", str(depth)])
-    assert code == 0 and reads == ["block"] * 3
+    assert code == 0 and reads() == ["block"] * 3
     records = parse_records(out)
     assert records[0]["events"] == size
     want = features_from_arrays(lam, let, GradedTensor.unit(n, depth), "exp")
@@ -278,19 +301,19 @@ def test_any_exception_in_a_block_reports_the_whole_file_error(tmp_path, monkeyp
     body = [f"1.0\t{i % 5}" for i in range(3 * BLOCK)]
     body[bad] = "1.0\t5.0"
     path.write_bytes("".join(f"{line}\n" for line in ["alphabet_size=5", *body]).encode())
-    rows, calls = cli._numpy_rows, []
+    rows, calls = cli._numpy_rows, FileLog(tmp_path)
 
-    def second_block_raises(fh, count=None):
+    def second_block_raises(lines, count=None):
         calls.append(count)
-        if (count is not None and len(calls) == 2) or (count is None and raised is DeprecationWarning):
+        if (count is not None and len(calls()) == 2) or (count is None and raised is DeprecationWarning):
             raise raised("fake")
-        return rows(fh, count)
+        return rows(lines, count)
 
     monkeypatch.setattr(cli, "_numpy_rows", second_block_raises)
     args = ["build", str(path), str(snap)] if command == "build" else ["exact", str(path)]
     message = f"{path}:{bad + 2}: malformed event"
     assert run_cli(args) == (2, "", f"ordersketch: data error: {message}\n")
-    assert calls[0] and calls[1] and calls[-1] is None and not snap.exists()
+    assert calls()[0] != "None" != calls()[1] and calls()[-1] == "None" and not snap.exists()
     with pytest.raises(DataError) as whole:
         read_stream_file(str(path))
     assert str(whole.value) == message
@@ -305,3 +328,85 @@ def test_build_memory_does_not_grow_with_the_stream(tmp_path):
         write_events(path, np.ones(size), rng.integers(0, 1000, size), 1000)
         peaks.append(traced_peak(run_cli, ["build", str(path), str(tmp_path / "s.snap")]))
     assert size > 2 * BLOCK and abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+def spy_forks(monkeypatch, allowed: bool) -> list:
+    """Record each `os.fork` call; a fork not ``allowed`` raises OSError,
+    which the build would answer with a whole-file rerun.  An allowed fork
+    sees two CPUs, so that the child runs on a one-CPU machine too."""
+    forks, fork = [], os.fork
+    if allowed:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def recorded():
+        forks.append(os.getpid())
+        if not allowed:
+            raise OSError("fork refused by the test")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def test_a_one_block_file_never_forks(tmp_path, monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(34))
+    path, snap = tmp_path / "s.events", tmp_path / "s.snap"
+    forks, reads = spy_forks(monkeypatch, allowed=False), record_reads(monkeypatch, tmp_path)
+    for size in (0, 1, BLOCK - 1):
+        write_events(path, rng.exponential(1.0, size), rng.integers(0, 5, size), 5)
+        reads.clear()
+        code, out, _ = run_cli(["build", str(path), str(snap), *BUILD_FLAGS])
+        assert code == 0 and parse_records(out)[0]["events"] == size
+        assert (forks, reads()) == ([], ["block"])
+        assert snap.read_bytes() == one_extend_snapshot(path)
+
+
+@pytest.mark.parametrize("without", ["fork", "second cpu"])
+def test_build_without_the_child_writes_the_same_bytes(tmp_path, monkeypatch, without):
+    rng = np.random.Generator(np.random.PCG64(35))
+    size = 3 * BLOCK + 5
+    path = tmp_path / "s.events"
+    write_events(path, rng.exponential(1.0, size), rng.integers(0, 5, size), 5)
+    forks = spy_forks(monkeypatch, allowed=True)
+    outputs = []
+    for run in ("child", "in-process"):
+        if run == "in-process":
+            if without == "fork":
+                monkeypatch.delattr(os, "fork")
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+                forks = spy_forks(monkeypatch, allowed=False)
+        forks.clear()
+        reads = record_reads(monkeypatch, tmp_path)
+        snap = tmp_path / f"{run}.snap"
+        code, out, _ = run_cli(["build", str(path), str(snap), *BUILD_FLAGS])
+        assert code == 0 and reads() == ["block"] * 4
+        outputs.append((out.replace(str(snap), "SNAP"), snap.read_bytes()))
+        assert len(forks) == (run == "child")
+    assert outputs[0] == outputs[1]
+
+
+def test_a_bad_line_in_a_block_the_child_parses_reports_the_whole_file_error(tmp_path, monkeypatch):
+    path, snap = tmp_path / "s.events", tmp_path / "s.snap"
+    body = [f"1.0\t{i % 5}" for i in range(4 * BLOCK)]
+    bad = 2 * BLOCK + 5  # in the third block
+    body[bad] = "1.0\tx"
+    path.write_bytes("".join(f"{line}\n" for line in ["alphabet_size=5", *body]).encode())
+    forks, reads = spy_forks(monkeypatch, allowed=True), record_reads(monkeypatch, tmp_path)
+    message = f"{path}:{bad + 2}: malformed event"
+    args = ["build", str(path), str(snap), *BUILD_FLAGS]
+    assert run_cli(args) == (2, "", f"ordersketch: data error: {message}\n")
+    assert len(forks) == 1 and reads() == ["block"] * 3 + ["whole"] and not snap.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "exact"])
+def test_an_overflow_in_a_later_block_is_a_data_error(tmp_path, monkeypatch, command):
+    path, snap = tmp_path / "s.events", tmp_path / "s.snap"
+    body = [f"1.0\t{i % 5}" for i in range(3 * BLOCK)]
+    body[2 * BLOCK + 5] = "1e300\t2"  # its square overflows level 2
+    path.write_bytes("".join(f"{line}\n" for line in ["alphabet_size=5", *body]).encode())
+    forks = spy_forks(monkeypatch, allowed=True)
+    args = ["build", str(path), str(snap), *BUILD_FLAGS] if command == "build" else ["exact", str(path)]
+    error = "ordersketch: data error: non-finite value (an overflow or a NaN)\n"
+    assert run_cli(args) == (2, "", error)
+    assert len(forks) == 1 and not snap.exists()
