@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .tensor import GradedTensor, Word, _is_letter, _not_integers
+from .tensor import GradedTensor, Word, _is_letter, _not_integers, _real
 
 
 def _word(word) -> Word:
@@ -38,7 +38,7 @@ class LinearFunctional:
     terms: dict = field(default_factory=dict)  # dict[Word, float]
 
     def __post_init__(self):
-        self.terms = {_word(w): float(c) for w, c in self.terms.items() if c != 0.0}
+        self.terms = {_word(w): r for w, c in self.terms.items() if (r := _real("coefficient", c))}
 
     @classmethod
     def from_word(cls, word) -> LinearFunctional:

@@ -27,16 +27,27 @@ from statistics import median
 import numpy as np
 
 from .features import EventMapKind, features_from_arrays
-from .hashing import (
-    AffineHash,
-    HashFamilySpec,
-    _is_number,
-    derive_seed,
-    sample_hashes,
-    smallest_prime_geq,
-)
+from .hashing import AffineHash, HashFamilySpec, derive_seed, sample_hashes, smallest_prime_geq
 from .sketch import OrderSketch, dense_pullback, mine_heavy_patterns
-from .tensor import GradedTensor, Stream, _integer, _is_letter, l1_level_norm
+from .tensor import GradedTensor, Stream, _integer, _real, l1_level_norm
+
+# -- config fields -----------------------------------------------------------
+
+
+def _store(config, rule, *names: str, **bounds) -> None:
+    """Store each named field of a frozen config as ``rule(name, value, **bounds)`` returns it."""
+    for name in names:
+        object.__setattr__(config, name, rule(name, getattr(config, name), **bounds))
+
+
+def _grid(rule):
+    """A rule for a non-empty list or tuple, stored as a tuple of what ``rule`` returns."""
+    def check(name: str, values, **bounds) -> tuple:
+        if not (isinstance(values, (list, tuple)) and values):
+            raise ValueError(f"{name} must be a non-empty list, not {values!r}")
+        return tuple(rule(name, v, **bounds) for v in values)
+    return check
+
 
 # -- generators --------------------------------------------------------------
 
@@ -55,6 +66,7 @@ def gen_heavy_tail_stream(
     length, seed = _integer("length", length, 0), _integer("seed", seed, 0)
     if not 0 <= _integer("heavy_count", heavy_count) <= alphabet_size:
         raise ValueError("heavy_count outside 0..alphabet_size")
+    heavy_mass = _real("heavy_mass", heavy_mass)
     if not 0.0 <= heavy_mass <= 1.0:
         raise ValueError("heavy_mass outside [0, 1]")
     if heavy_count == 0 and heavy_mass > 0:
@@ -97,6 +109,7 @@ class MarkovExperimentConfig:
         # letters 1 and 2 plus at least one filler letter; three positive segments
         for key, low in (("alphabet_size", 3), ("total_length", 4), ("seed", 0)):
             object.__setattr__(self, key, _integer(key, getattr(self, key), low))
+        _store(self, _real, "p", "q")
         if not (0 < self.p < 1 and 0 < self.q < 1):
             raise ValueError("p and q must lie in (0, 1)")
         quarter = self.total_length // 4
@@ -196,6 +209,9 @@ def train_linear_classifier(
     non-increasing.  The fit is deterministic.
     """
     epochs = _integer("epochs", epochs, 0)
+    l2 = _real("l2", l2)
+    if not 0 <= l2 < math.inf:
+        raise ValueError(f"l2 must be finite and >= 0, not {l2!r}")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -245,26 +261,6 @@ def train_linear_classifier(
     return LogisticModel(raw_w, raw_b, tuple(history))
 
 
-# -- harness configs ---------------------------------------------------------
-
-
-def _is_count(value) -> bool:
-    return _is_letter(value) and value >= 1
-
-
-def _is_grid(is_item):
-    """A check that a value is a non-empty list or tuple of items passing ``is_item``."""
-    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(is_item, v))
-
-
-def _check_fields(config, is_ok, want: str, *names: str) -> None:
-    """Raise ValueError unless each named field of a harness config passes ``is_ok``."""
-    for name in names:
-        value = getattr(config, name)
-        if not is_ok(value):
-            raise ValueError(f"config field {name} must be {want}, not {value!r}")
-
-
 # -- experiment one ----------------------------------------------------------
 
 
@@ -283,13 +279,13 @@ class ExperimentOneConfig:
     include_identity_row: bool = False
 
     def __post_init__(self):
-        _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "length", "heavy_count",
-                      "depth", "repetitions")
-        _check_fields(self, _is_number, "a number", "heavy_mass")
-        _check_fields(self, _is_letter, "an int", "base_seed")
-        _check_fields(self, _is_grid(_is_count), "a non-empty list of ints >= 1",
-                      "bucket_counts", "hash_counts")
-        _check_fields(self, lambda v: isinstance(v, bool), "a bool", "include_identity_row")
+        _store(self, _integer, "alphabet_size", "length", "heavy_count", "depth", "repetitions",
+               low=1)
+        _store(self, _grid(_integer), "bucket_counts", "hash_counts", low=1)
+        _store(self, _integer, "base_seed")
+        _store(self, _real, "heavy_mass")
+        if not isinstance(flag := self.include_identity_row, bool):
+            raise ValueError(f"include_identity_row must be a bool, not {flag!r}")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
 
 
@@ -387,13 +383,13 @@ class ExperimentTwoConfig:
     chunk_size: int = 2048
 
     def __post_init__(self):
-        _check_fields(self, _is_count, "an int >= 1", "alphabet_size", "total_length",
-                      "streams_per_class", "depth", "splits", "epochs", "candidate_cap",
-                      "chunk_size")
-        _check_fields(self, _is_number, "a number", "p", "epsilon", "delta", "rho",
-                      "test_fraction", "l2")
-        _check_fields(self, _is_letter, "an int", "base_seed")
-        _check_fields(self, _is_grid(_is_number), "a non-empty list of numbers", "q_values")
+        _store(self, _integer, "alphabet_size", "total_length", "streams_per_class", "depth",
+               "splits", "epochs", "candidate_cap", "chunk_size", low=1)
+        _store(self, _real, "p", "epsilon", "delta", "rho", "test_fraction", "l2")
+        _store(self, _integer, "base_seed")
+        _store(self, _grid(_real), "q_values")
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"test_fraction must lie in (0, 1), not {self.test_fraction!r}")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
 
 
@@ -446,7 +442,7 @@ def run_experiment_2(config: ExperimentTwoConfig) -> list:
                         alphabet_size=config.alphabet_size,
                         total_length=config.total_length,
                         p=config.p,
-                        q=float(q),
+                        q=q,
                         stream_class=cls,
                         seed=seed,
                     )
@@ -488,8 +484,8 @@ def run_experiment_2(config: ExperimentTwoConfig) -> list:
                 )
         rows.append(
             ExperimentTwoRow(
-                q=float(q),
-                q_minus_p=float(q) - config.p,
+                q=q,
+                q_minus_p=q - config.p,
                 feature_letters=letters,
                 accuracy_by_depth=accuracy_by_depth,
             )

@@ -49,16 +49,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .features import EventMapKind, features_from_arrays
-from .hashing import (
-    PRNG_ID,
-    AffineHash,
-    HashFamilySpec,
-    _is_number,
-    eval_hash_array,
-    sample_hashes,
-)
-from .tensor import (GradedTensor, Stream, _integer, _letter_array, truncated_product,
-                     word_from_index)
+from .hashing import PRNG_ID, AffineHash, HashFamilySpec, eval_hash_array, sample_hashes
+from .tensor import (GradedTensor, Stream, _integer, _is_real, _letter_array, _real,
+                     truncated_product, word_from_index)
 
 SNAPSHOT_FORMAT = "order-sketch-snapshot"
 SNAPSHOT_VERSION = 2
@@ -124,9 +117,9 @@ class OrderSketch:
             raise ValueError(f"{len(self.tables)} tables for {len(self.hashes)} hashes")
         if any((t.alphabet_size, t.depth) != (buckets, self.depth) for t in self.tables):
             raise ValueError(f"tables must have {buckets} buckets and depth {self.depth}")
+        for key in ("epsilon", "delta", "stream_l1"):
+            setattr(self, key, _real(key, getattr(self, key)))
         scalars = (self.epsilon, self.delta, self.stream_l1)
-        if not all(map(_is_number, scalars)):
-            raise ValueError(f"epsilon, delta and stream_l1 must be numbers, not {scalars}")
         _require_finite(self.tables, *scalars)
         if not (self.epsilon > 0 and 0 < self.delta < 1 and self.stream_l1 >= 0):
             raise ValueError(f"need epsilon > 0, 0 < delta < 1, stream_l1 >= 0, not {scalars}")
@@ -143,9 +136,10 @@ class OrderSketch:
     ) -> OrderSketch:
         """Draw the hashes from the seed into ``ceil(2 / epsilon)`` buckets and
         ``max(1, ceil(log2(1 / delta)))`` tables (0 < epsilon <= 1, 0 < delta < 1)."""
-        if not (_is_number(epsilon) and 0 < epsilon <= 1):
+        epsilon, delta = _real("epsilon", epsilon), _real("delta", delta)
+        if not 0 < epsilon <= 1:
             raise ValueError("need 0 < epsilon <= 1")
-        if not (_is_number(delta) and 0 < delta < 1):
+        if not 0 < delta < 1:
             raise ValueError("need 0 < delta < 1")
         alphabet_size = _integer("alphabet_size", alphabet_size, 1)
         buckets = math.ceil(2.0 / epsilon)
@@ -156,8 +150,8 @@ class OrderSketch:
             kind,
             alphabet_size,
             seed,
-            epsilon=float(epsilon),
-            delta=float(delta),
+            epsilon=epsilon,
+            delta=delta,
         )
 
     # -- size accounting ---------------------------------------------------
@@ -179,7 +173,7 @@ class OrderSketch:
     def update(self, lam: float, letter: int) -> None:
         """Feed one event: :meth:`extend` with a one-event stream.  Each call
         pays for a whole `extend`; bulk callers should use `extend`."""
-        self.extend(Stream.from_events([(lam, letter)], self.alphabet_size))
+        self.extend(Stream.from_events([(_real("lam", lam), letter)], self.alphabet_size))
 
     def extend(self, stream: Stream) -> None:
         """Feed a whole stream: `features_from_arrays` folds the letterwise-
@@ -381,9 +375,9 @@ def mine_heavy_patterns(
         rhos = list(thresholds)
     except TypeError:
         rhos = None
-    if rhos is None or not all(map(_is_number, rhos)):
+    if rhos is None or not all(map(_is_real, rhos)):
         raise ValueError(f"thresholds must be a list of numbers, not {thresholds!r}")
-    rhos = [float(r) for r in rhos]
+    rhos = [_real("thresholds", r) for r in rhos]
     if not rhos:
         raise ValueError("need at least one threshold")
     if not all(math.isfinite(rho) and rho > 0 for rho in rhos):
@@ -410,12 +404,12 @@ def mine_heavy_patterns(
         kept: dict = {}
         if letters:
             pulled = dense_pullback(sketch, letters, candidate_cap)
-            for m in range(1, depth + 1):
+            for m in range(1, sketch.depth + 1):
                 level = pulled.levels[m]
                 for j in np.flatnonzero(level >= rho**m).tolist():
                     word = word_from_index(m, j, len(letters))
                     kept[tuple(letters[i] for i in word)] = float(level[j])
         results[rho] = HeavyPatternResult(
-            threshold=rho, depth=depth, hot_letters=letters, estimates=kept
+            threshold=rho, depth=sketch.depth, hot_letters=letters, estimates=kept
         )
     return sketch, results

@@ -9,6 +9,11 @@ Conventions used across the package:
   type test, then its lower bound, in `_integer`, which returns it as a
   Python int for the caller to store: a float, bool or string is refused
   with ``{name} must be an integer, not {value!r}``, never truncated.
+* A real argument (epsilon, delta, a weight, threshold, mass, rate or
+  coefficient) is a non-bool Python or numpy integer or floating-point
+  number, which `_real` returns as a Python float for the caller to store;
+  anything else is refused with ``{name} must be a real number, not
+  {value!r}``.  Each caller checks its own range, which NaN never passes.
 * A word is a tuple of letter ids; the empty tuple is the unit word. In text
   form a word is its ids joined by ``"."`` (``"0.1.0"``); the empty word is
   the empty string.
@@ -71,6 +76,22 @@ def _integer(name: str, value, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, not {value!r}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python float; ValueError naming ``name`` unless it is a
+    non-bool Python or numpy integer or floating-point number in float64's
+    range.  Neither its range nor its finiteness is checked here."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a Python int past float64
+        raise ValueError(f"{name} must be within float64's range, not {value!r}") from None
 
 
 def _all_letters(entries) -> bool:
@@ -193,6 +214,7 @@ class Stream:
             return float(self.lambdas.sum())
 
     def slice(self, start: int, stop: int) -> Stream:
+        start, stop = _integer("start", start), _integer("stop", stop)
         return Stream(self.lambdas[start:stop], self.letters[start:stop], self.alphabet_size)
 
 
@@ -262,6 +284,7 @@ def truncated_product(x: GradedTensor, y: GradedTensor) -> GradedTensor:
 
 def l1_level_norm(x: GradedTensor, m: int) -> float:
     """l1 mass of a single level: sum of |coordinate| over words of length m."""
+    m = _integer("m", m)
     if not 0 <= m <= x.depth:
         raise ValueError(f"level {m} outside 0..{x.depth}")
     return float(np.abs(x.levels[m]).sum())

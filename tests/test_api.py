@@ -198,6 +198,23 @@ def test_one_module_owns_the_integer_rule():
     assert coercions == []
 
 
+def test_one_module_owns_the_real_rule():
+    # tensor.py's _real serves every real argument, as _integer every integer one
+    for path in sorted((ROOT / "src" / "ordersketch").glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        assert "must be a real number" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") in (
+                "isinstance", "issubclass"
+            ):
+                types = [ast.unparse(t) for t in ast.walk(node.args[1])]
+                assert not {"float", "np.floating", "numpy.floating"} & set(types), path.name
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "_is_number", path.name
+
+
 def test_one_module_owns_the_letter_rule():
     sources = sorted((ROOT / "src" / "ordersketch").glob("*.py"))
     for path in sources:

@@ -582,6 +582,12 @@ def test_experiment_rejects_unknown_config_keys(tmp_path):
     assert code == 2 and "unknown config keys" in err
 
 
+# a table2 run small enough to reach its classifier fits in a fraction of a second
+SMALL_TABLE2 = {"alphabet_size": 200, "total_length": 2000, "q_values": [0.2],
+                "streams_per_class": 6, "rho": 40.0, "splits": 2, "epochs": 150,
+                "chunk_size": 512}
+
+
 @pytest.mark.parametrize(
     "name, overrides",
     [
@@ -596,6 +602,11 @@ def test_experiment_rejects_unknown_config_keys(tmp_path):
         ("table1", [1]),  # not a JSON object
         ("table2", None),  # no config file at all
         ("table1", {"include_identity_row": "false"}),  # a string, not a bool
+        ("table2", {"test_fraction": 0}),  # would score one test stream per class
+        ("table2", {"test_fraction": float("nan")}),
+        # a fit with no usable penalty would report chance accuracy and exit 0
+        ("table2", {"l2": float("nan"), **SMALL_TABLE2}),
+        ("table2", {"l2": -1.0, **SMALL_TABLE2}),
     ],
 )
 def test_experiment_bad_config_field_is_data_error(tmp_path, name, overrides):

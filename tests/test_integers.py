@@ -1,8 +1,10 @@
-"""The integer rule on every entry point that takes a size, depth, count, cap
-or seed: the argument is a non-bool int or numpy integer at or above its
-lower bound.  A float, bool or string is refused with a ValueError naming
-the argument, never truncated; a numpy integer is stored as a Python int."""
+"""The integer rule on every entry point that takes a size, depth, count, cap,
+seed, level or slice bound: the argument is a non-bool int or numpy integer
+at or above its lower bound.  A float, bool or string is refused with a
+ValueError naming the argument, never truncated; a numpy integer is stored
+as a Python int, and so reaches results as one."""
 
+import json
 import re
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 from ordersketch import (
     AffineHash,
     EventMapKind,
+    ExperimentOneConfig,
+    ExperimentTwoConfig,
     GradedTensor,
     HashFamilySpec,
     MarkovExperimentConfig,
@@ -18,7 +22,9 @@ from ordersketch import (
     Stream,
     dense_pullback,
     gen_heavy_tail_stream,
+    l1_level_norm,
     mine_heavy_patterns,
+    run_experiment_1,
     sample_hashes,
     smallest_prime_geq,
     train_linear_classifier,
@@ -99,7 +105,24 @@ SITES = {
     "MarkovExperimentConfig seed": (
         3, lambda v: MarkovExperimentConfig(N, 40, 0.1, 0.2, "a", v), lambda c: c.seed),
     "train_linear_classifier epochs": (3, _fit, None),
+    "l1_level_norm m": (1, lambda v: l1_level_norm(GradedTensor.unit(2, 2), v), None),
+    "Stream.slice start": (1, lambda v: Stream([1.0, 2.0], [0, 1], 2).slice(v, 2), None),
+    "Stream.slice stop": (1, lambda v: Stream([1.0, 2.0], [0, 1], 2).slice(0, v), None),
 }
+# every integer field of the two harness configs; a grid field holds one entry
+for config, names in (
+    (ExperimentOneConfig, ("alphabet_size", "length", "heavy_count", "depth", "repetitions",
+                           "base_seed", "bucket_counts", "hash_counts")),
+    (ExperimentTwoConfig, ("alphabet_size", "total_length", "streams_per_class", "depth",
+                           "splits", "epochs", "candidate_cap", "chunk_size", "base_seed")),
+):
+    for key in names:
+        grid = key.endswith("_counts")
+        SITES[f"{config.__name__} {key}"] = (
+            3,
+            lambda v, config=config, key=key, grid=grid: config(**{key: (v,) if grid else v}),
+            lambda c, key=key, grid=grid: getattr(c, key)[0] if grid else getattr(c, key),
+        )
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3"], ids=["float", "bool", "str"])
@@ -130,6 +153,8 @@ def test_lower_bounds_name_the_argument():
         (lambda: _mine(chunk_size=0), "chunk_size must be >= 1, not 0"),
         (lambda: _mine(candidate_cap=-1), "candidate_cap must be >= 0, not -1"),
         (lambda: MarkovExperimentConfig(2, 40, 0.1, 0.2, "a", 0), "alphabet_size must be >= 3"),
+        (lambda: ExperimentOneConfig(hash_counts=(2, 0)), "hash_counts must be >= 1, not 0"),
+        (lambda: ExperimentTwoConfig(splits=0), "splits must be >= 1, not 0"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             call()
@@ -137,8 +162,8 @@ def test_lower_bounds_name_the_argument():
 
 def test_from_parameters_names_its_own_arguments():
     for args, message in (
-        (("0.5", 0.25, 2, "exp", N, 0), "need 0 < epsilon <= 1"),
-        ((0.5, "0.25", 2, "exp", N, 0), "need 0 < delta < 1"),
+        (("0.5", 0.25, 2, "exp", N, 0), "epsilon must be a real number, not '0.5'"),
+        ((0.5, "0.25", 2, "exp", N, 0), "delta must be a real number, not '0.25'"),
         ((0.5, 0.25, 2, "exp", 10.5, 0), "alphabet_size must be an integer, not 10.5"),
         ((0.5, 0.25, 2, "exp", 0, 0), "alphabet_size must be >= 1, not 0"),
     ):
@@ -158,3 +183,31 @@ def test_a_sketch_built_from_numpy_integers_encodes_as_one_built_from_ints():
     snapshot = numpy_built.to_snapshot()
     assert snapshot == build(int).to_snapshot()
     assert OrderSketch.from_snapshot(snapshot).to_snapshot() == snapshot
+
+
+def test_configs_store_their_grids_as_tuples_of_python_numbers():
+    one = ExperimentOneConfig(bucket_counts=[np.int64(4), 8], hash_counts=[np.int32(2)])
+    assert one.bucket_counts == (4, 8) and one.hash_counts == (2,)
+    assert all(type(b) is int for b in one.bucket_counts + one.hash_counts)
+    two = ExperimentTwoConfig(q_values=[np.float32(0.25), 1])
+    assert two.q_values == (0.25, 1.0) and all(type(q) is float for q in two.q_values)
+    for bad in (4, (), [], "4"):
+        with pytest.raises(ValueError, match="^bucket_counts must be a non-empty list"):
+            ExperimentOneConfig(bucket_counts=bad)
+
+
+def test_results_built_from_numpy_integers_hold_python_ints():
+    _, results = mine_heavy_patterns(Stream(np.ones(6), [0, 4, 0, 0, 4, 0], N), [np.float32(2.5)],
+                                     0.5, 0.25, np.int64(2), EventMapKind.EXP, np.int64(0))
+    (rho, result), = results.items()
+    assert type(rho) is float and type(result.threshold) is float
+    assert type(result.depth) is int and all(type(a) is int for a in result.hot_letters)
+    json.dumps([result.threshold, result.depth, result.hot_letters,
+                [[word, value] for word, value in result.estimates.items()]])
+    config = ExperimentOneConfig(alphabet_size=np.int64(8), length=np.int64(200),
+                                 heavy_count=np.int64(2), depth=np.int64(2),
+                                 bucket_counts=(np.int64(4),), hash_counts=(np.int64(2),),
+                                 repetitions=np.int64(1), base_seed=np.int64(0))
+    (row,) = run_experiment_1(config)
+    assert type(row.bucket_count) is int and type(row.hash_count) is int
+    json.dumps(row.__dict__)

@@ -82,9 +82,9 @@ def test_with_hashes_validation():
 @pytest.mark.parametrize(
     "changes,needle",
     [
-        ({"epsilon": "0.5"}, "numbers"),
-        ({"delta": True}, "numbers"),
-        ({"stream_l1": "3"}, "numbers"),
+        ({"epsilon": "0.5"}, "must be a real number"),
+        ({"delta": True}, "must be a real number"),
+        ({"stream_l1": "3"}, "must be a real number"),
         ({"epsilon": -1}, "epsilon > 0"),
         ({"epsilon": 0.0}, "epsilon > 0"),
         ({"delta": 7}, "delta < 1"),
