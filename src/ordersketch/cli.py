@@ -9,12 +9,14 @@ Stream files are plain text: a first line ``alphabet_size=N`` (N below
 whitespace-only lines are skipped, CRLF line ends are accepted, and the
 first malformed line is reported by its line number.
 
-``build`` and ``exact`` read and fold the file one block of whole fold
-chunks at a time, so they hold one block, never the parsed file; the tables
-get the bits of one fold of the whole stream, and only ``stream_l1`` is
-summed block by block (on non-integer weights its last bit can move).  Any
-error reruns the command on the whole file, which reports it as a
-whole-file read does.  ``heavy`` reads the whole stream.
+Each command checks its flags (and ``build`` and ``exact`` the header) before
+the body, so a bad flag is reported before a body error.  ``build`` and
+``exact`` fold the body one block of whole fold chunks at a time, holding one
+block, never the parsed file; the tables get the bits of one fold of the
+whole stream, and only ``stream_l1`` is summed block by block (its last bit
+can move on non-integer weights).  A body error reruns the command on the
+whole file, which reports it as a whole-file read does.  ``heavy`` reads the
+whole stream.
 
 When the first block is full, ``os.fork`` exists and the process may run on
 two or more CPUs, a forked child parses the later blocks one block ahead
@@ -45,8 +47,8 @@ from .experiments import (
     run_experiment_2,
 )
 from .features import _chunk_length, features_from_arrays
-from .sketch import (CandidateCapError, NonFiniteError, OrderSketch, _require_finite,
-                     mine_heavy_patterns)
+from .sketch import (CandidateCapError, NonFiniteError, OrderSketch, _accuracy_target,
+                     _mining_arguments, _require_finite, _sketch_depth, mine_heavy_patterns)
 from .tensor import GradedTensor, Stream, word_from_index, word_from_text, word_index, word_to_text
 
 EXIT_OK = 0
@@ -100,13 +102,11 @@ def read_stream_file(path: str, block: tuple | None = None) -> Stream:
     try:
         with open(path, "r", encoding="ascii") as fh:
             parsed = _parse_with_numpy(path, fh)
-            if parsed is None:  # the line loop accepts the unusual files and names the bad line
+            if parsed is None:  # the line loop accepts the unusual bodies and names the bad line
                 fh.seek(0)
                 parsed = _parse_lines(path, fh.read().splitlines())
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not ASCII text") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read stream file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
     alphabet_size, lams, lets = parsed
     try:
         return Stream(np.array(lams), lets, alphabet_size)
@@ -114,32 +114,35 @@ def read_stream_file(path: str, block: tuple | None = None) -> Stream:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _unreadable(path: str, exc: Exception) -> DataError:
+    """The DataError of a stream file that cannot be read, or is not ASCII text."""
+    return DataError(f"{path}: not ASCII text" if isinstance(exc, UnicodeDecodeError)
+                     else f"cannot read stream file {path}: {exc}")
+
+
 def _parse_with_numpy(path: str, fh):
     """``(alphabet_size, weights, letters)`` from numpy's C reader, or None.
 
-    None means the file may read differently under :func:`_parse_lines`: see
-    `_numpy_body`, or a body that numpy's reader rejects or warns about.
+    The header's DataError is raised before the body is read.  None means
+    the body may read differently under :func:`_parse_lines`: see `_header`
+    and `_numpy_body`, or a body that numpy's reader rejects or warns about.
     Every file accepted here gives the loop's arrays bit for bit.
     """
+    alphabet_size, at_body = _header(path, fh.readline())
     try:
-        body = _numpy_body(path, fh)
-        return None if body is None else (body[0], *_numpy_rows(body[1]))
-    except (DataError, ValueError, Warning):
+        lines = _numpy_body(fh) if at_body else None
+        return None if lines is None else (alphabet_size, *_numpy_rows(lines))
+    except (ValueError, Warning):
         return None
 
 
-def _numpy_body(path: str, fh) -> tuple | None:
-    """The header's alphabet size and the body's lines for numpy's reader,
-    with ``fh`` left at the start of the body, or None where numpy's reader
-    may read the body differently from the line loop: a header it might
-    split, or a character that numpy reads as a space and the loop does not.
-    The lines are ``fh`` itself unless the body may hold a whitespace-only
-    line, which numpy refuses and the loop skips: then they skip such lines.
-    Raises the header's DataError."""
-    header = fh.readline().splitlines()
-    if len(header) != 1:
-        return None
-    alphabet_size = _parse_header(path, header[0])
+def _numpy_body(fh):
+    """The body's lines for numpy's reader, from where ``fh`` stands, or
+    None where numpy's reader may read them differently from the line loop:
+    a character that numpy reads as a space and the loop does not.  ``fh``
+    is left where it stood.  The lines are ``fh`` itself unless the body may
+    hold a whitespace-only line, which numpy refuses and the loop skips:
+    then they skip such lines."""
     body, spaced = fh.tell(), False
     while chunk := fh.read(1 << 20):
         if any(c in chunk for c in _NUMPY_ONLY_SPACES):
@@ -149,7 +152,7 @@ def _numpy_body(path: str, fh) -> tuple | None:
             spaced = (" " in chunk or chunk[-1] == "\t"
                       or bool(np.any((codes[:-1] == 9) & (codes[1:] == 10))))
     fh.seek(body)
-    return alphabet_size, ((line for line in fh if not line.isspace()) if spaced else fh)
+    return (line for line in fh if not line.isspace()) if spaced else fh
 
 
 def _numpy_rows(lines, rows: int | None = None) -> tuple:
@@ -167,22 +170,23 @@ def _numpy_rows(lines, rows: int | None = None) -> tuple:
     return table["w"], table["a"]
 
 
-def _parse_header(path: str, line: str) -> int:
-    if not line.startswith("alphabet_size="):
+def _header(path: str, line: str) -> tuple:
+    """The alphabet size in the file's first ``line`` as `readline` gives it, and
+    whether the body begins after it: not if the line loop ends a line inside it."""
+    header = line.splitlines() or [""]
+    if not header[0].startswith("alphabet_size="):
         raise DataError(f"{path}:1: expected header alphabet_size=N")
     try:
-        alphabet_size = int(line.split("=", 1)[1])
+        alphabet_size = int(header[0].split("=", 1)[1])
     except ValueError as exc:
         raise DataError(f"{path}:1: malformed alphabet size") from exc
     if alphabet_size >= 1 << 61:  # past the hash family's domain, so past every sketch
         raise DataError(f"{path}:1: alphabet size must be below 2**61")
-    return alphabet_size
+    return alphabet_size, len(header) == 1
 
 
 def _parse_lines(path: str, lines: list) -> tuple:
-    if not lines:
-        raise DataError(f"{path}:1: expected header alphabet_size=N")
-    alphabet_size = _parse_header(path, lines[0])
+    alphabet_size, _ = _header(path, lines[0])  # checked before the body was read
     lams, lets = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -224,40 +228,44 @@ def _block_rows(n: int, depth: int) -> int:
 def _fold_stream_file(path: str, start, fold) -> tuple:
     """Fold the stream file at ``path`` and return ``(state, events)``.
 
-    ``start(alphabet_size)`` gives ``(state, rows)``; then ``fold(state,
-    stream)`` takes the events ``rows`` at a time, each block parsed by
-    `read_stream_file`, so the parsed file is never held whole.  When the
-    first block is full and `_parse_ahead_runs` beside the fold, a
-    `_ParseAhead` child parses the later ones.  On any exception, a numpy
-    warning raised as one included, the child is stopped, the partial state
-    is dropped and the whole file is read, started and folded once: the
-    letters are then checked across the file before the weights, and the
-    outcome is the whole-file read's.
+    The file is opened and its header read, then ``start(alphabet_size)``
+    gives ``(state, rows)``; any exception so far ends the fold.  Then
+    ``fold(state, stream)`` takes the body ``rows`` events at a time, each
+    block parsed by `read_stream_file`, so the parsed file is never held
+    whole; when the first block is full and `_parse_ahead_runs`, a
+    `_ParseAhead` child parses the later ones.  On any exception in the
+    body, a numpy warning raised as one included, the child is stopped, the
+    partial state is dropped and the whole file is read, started and folded
+    once: the line loop names a bad line, the letters are checked across
+    the file before the weights, and the outcome is the whole-file read's.
     """
     child = None
     try:
         with open(path, "r", encoding="ascii") as fh:
-            body = _numpy_body(path, fh)
-            if body is not None:
-                alphabet_size, lines = body
-                state, rows = start(alphabet_size)
-                next_rows = lambda: _numpy_rows(lines, rows)
-                block = read_stream_file(path, (next_rows, alphabet_size))
-                if len(block) == rows and _parse_ahead_runs():
-                    child = _ParseAhead(lines, rows)
-                    next_rows = child.next_rows
-                events = 0
-                while True:
-                    fold(state, block)
-                    events += len(block)
-                    if len(block) < rows:
-                        return state, events
+            alphabet_size, at_body = _header(path, fh.readline())
+            state, rows = start(alphabet_size)
+            try:
+                lines = _numpy_body(fh) if at_body else None
+                if lines is not None:
+                    next_rows = lambda: _numpy_rows(lines, rows)
                     block = read_stream_file(path, (next_rows, alphabet_size))
-    except Exception:  # the whole-file read below reports it, or reads past it
-        pass
-    finally:
-        if child is not None:
-            child.stop()
+                    if len(block) == rows and _parse_ahead_runs():
+                        child = _ParseAhead(lines, rows)
+                        next_rows = child.next_rows
+                    events = 0
+                    while True:
+                        fold(state, block)
+                        events += len(block)
+                        if len(block) < rows:
+                            return state, events
+                        block = read_stream_file(path, (next_rows, alphabet_size))
+            except Exception:  # the whole-file read below reports it, or reads past it
+                pass
+            finally:
+                if child is not None:
+                    child.stop()
+    except (OSError, UnicodeDecodeError) as exc:  # from opening the file or reading its header
+        raise _unreadable(path, exc) from exc
     stream = read_stream_file(path)
     state, _ = start(stream.alphabet_size)
     fold(state, stream)
@@ -423,9 +431,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_heavy(args) -> int:
-    stream = read_stream_file(args.stream)
-    rhos = sorted(set(args.rho))
-    try:
+    rhos, chunk_size = sorted(set(args.rho)), 1024
+    try:  # every flag before the file is read, which raises only DataError
+        _mining_arguments(rhos, args.candidate_cap, chunk_size)
+        _accuracy_target(args.epsilon, args.delta)
+        _sketch_depth(args.depth)
+        stream = read_stream_file(args.stream)
         _, results = mine_heavy_patterns(
             stream,
             rhos,
@@ -435,6 +446,7 @@ def cmd_heavy(args) -> int:
             args.event_map,
             args.seed,
             candidate_cap=args.candidate_cap,
+            chunk_size=chunk_size,
         )
     except NonFiniteError:
         raise  # the stream overflowed the fold: a data error, not a bad flag

@@ -28,7 +28,8 @@ import numpy as np
 
 from .features import EventMapKind, features_from_arrays
 from .hashing import AffineHash, HashFamilySpec, derive_seed, sample_hashes, smallest_prime_geq
-from .sketch import OrderSketch, dense_pullback, mine_heavy_patterns
+from .sketch import (OrderSketch, _accuracy_target, _mining_arguments, dense_pullback,
+                     mine_heavy_patterns)
 from .tensor import GradedTensor, Stream, _integer, _real, l1_level_norm
 
 # -- config fields -----------------------------------------------------------
@@ -91,6 +92,11 @@ class StreamClass(str, enum.Enum):
     TYPE_B = "b"
 
 
+def _rates(p: float, q: float) -> None:
+    if not (0 < p < 1 and 0 < q < 1):
+        raise ValueError("p and q must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class MarkovExperimentConfig:
     """One three-segment stream: a hot letter per leading segment, then a
@@ -110,8 +116,7 @@ class MarkovExperimentConfig:
         for key, low in (("alphabet_size", 3), ("total_length", 4), ("seed", 0)):
             object.__setattr__(self, key, _integer(key, getattr(self, key), low))
         _store(self, _real, "p", "q")
-        if not (0 < self.p < 1 and 0 < self.q < 1):
-            raise ValueError("p and q must lie in (0, 1)")
+        _rates(self.p, self.q)
         quarter = self.total_length // 4
         object.__setattr__(self, "segments", (quarter, quarter, self.total_length - 2 * quarter))
         object.__setattr__(self, "stream_class", StreamClass(self.stream_class))
@@ -195,6 +200,12 @@ class LogisticModel:
         return float(np.mean(self.predict(features) == np.asarray(labels)))
 
 
+def _l2_penalty(l2) -> float:
+    if not 0 <= (l2 := _real("l2", l2)) < math.inf:
+        raise ValueError(f"l2 must be finite and >= 0, not {l2!r}")
+    return l2
+
+
 def train_linear_classifier(
     features: np.ndarray,
     labels: np.ndarray,
@@ -209,9 +220,7 @@ def train_linear_classifier(
     non-increasing.  The fit is deterministic.
     """
     epochs = _integer("epochs", epochs, 0)
-    l2 = _real("l2", l2)
-    if not 0 <= l2 < math.inf:
-        raise ValueError(f"l2 must be finite and >= 0, not {l2!r}")
+    l2 = _l2_penalty(l2)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -391,6 +400,12 @@ class ExperimentTwoConfig:
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must lie in (0, 1), not {self.test_fraction!r}")
         object.__setattr__(self, "kind", EventMapKind(self.kind))
+        # the later sites' checks, so that no bad value waits for the mining
+        for q in self.q_values:
+            _rates(self.p, q)
+        _mining_arguments([self.rho], self.candidate_cap, self.chunk_size)
+        _accuracy_target(self.epsilon, self.delta)
+        _l2_penalty(self.l2)
 
 
 @dataclass(frozen=True)

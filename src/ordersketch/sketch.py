@@ -67,6 +67,20 @@ class NonFiniteError(ValueError):
     """A table or parameter holds inf or NaN: a float64 overflow or a NaN input."""
 
 
+def _accuracy_target(epsilon, delta) -> tuple:
+    """``(epsilon, delta)`` as floats; ValueError unless 0 < epsilon <= 1 and 0 < delta < 1."""
+    epsilon, delta = _real("epsilon", epsilon), _real("delta", delta)
+    if not 0 < epsilon <= 1:
+        raise ValueError("need 0 < epsilon <= 1")
+    if not 0 < delta < 1:
+        raise ValueError("need 0 < delta < 1")
+    return epsilon, delta
+
+
+def _sketch_depth(depth) -> int:
+    return _integer("depth", depth, 1)
+
+
 def _require_finite(tables: list, *scalars: float) -> None:
     if not all(map(math.isfinite, scalars)) or not all(
         np.isfinite(level).all() for table in tables for level in table.levels
@@ -97,7 +111,8 @@ class OrderSketch:
     stream_l1: float = 0.0
 
     def __post_init__(self):
-        for key, low in (("depth", 1), ("alphabet_size", 1), ("seed", None), ("events_seen", 0)):
+        self.depth = _sketch_depth(self.depth)
+        for key, low in (("alphabet_size", 1), ("seed", None), ("events_seen", 0)):
             setattr(self, key, _integer(key, getattr(self, key), low))
         if not self.hashes:
             raise ValueError("need at least one hash")
@@ -136,11 +151,7 @@ class OrderSketch:
     ) -> OrderSketch:
         """Draw the hashes from the seed into ``ceil(2 / epsilon)`` buckets and
         ``max(1, ceil(log2(1 / delta)))`` tables (0 < epsilon <= 1, 0 < delta < 1)."""
-        epsilon, delta = _real("epsilon", epsilon), _real("delta", delta)
-        if not 0 < epsilon <= 1:
-            raise ValueError("need 0 < epsilon <= 1")
-        if not 0 < delta < 1:
-            raise ValueError("need 0 < delta < 1")
+        epsilon, delta = _accuracy_target(epsilon, delta)
         alphabet_size = _integer("alphabet_size", alphabet_size, 1)
         buckets = math.ceil(2.0 / epsilon)
         hash_count = max(1, math.ceil(math.log2(1.0 / delta)))
@@ -279,7 +290,7 @@ class OrderSketch:
             if len(hashes) != doc["hash_count"]:
                 raise ValueError(f"snapshot has {len(hashes)} hashes, not {doc['hash_count']}")
             buckets = _integer("bucket_count", doc["bucket_count"], 1)
-            depth = _integer("depth", doc["depth"], 1)
+            depth = _sketch_depth(doc["depth"])
             sizes = [1]  # level sizes; the bound on the payload stops a huge depth early
             while len(sizes) <= depth and 8 * (len(sizes) + sizes[-1]) <= len(body):
                 sizes.append(sizes[-1] * buckets)
@@ -347,6 +358,23 @@ class HeavyPatternResult:
         return set(self.estimates)
 
 
+def _mining_arguments(thresholds, candidate_cap, chunk_size) -> tuple:
+    """The thresholds, cap and chunk size of `mine_heavy_patterns`, checked, as Python numbers."""
+    try:
+        rhos = list(thresholds)
+    except TypeError:
+        rhos = None
+    if rhos is None or not all(map(_is_real, rhos)):
+        raise ValueError(f"thresholds must be a list of numbers, not {thresholds!r}")
+    rhos = [_real("thresholds", r) for r in rhos]
+    if not rhos:
+        raise ValueError("need at least one threshold")
+    if not all(math.isfinite(rho) and rho > 0 for rho in rhos):
+        raise ValueError("thresholds must be finite and > 0")
+    chunk_size = _integer("chunk_size", chunk_size, 1)
+    return rhos, _integer("candidate_cap", candidate_cap, 0), chunk_size
+
+
 def mine_heavy_patterns(
     stream: Stream,
     thresholds,
@@ -371,19 +399,7 @@ def mine_heavy_patterns(
     past ``candidate_cap`` (>= 0).  Thresholds must be a list of finite,
     positive numbers.
     """
-    try:
-        rhos = list(thresholds)
-    except TypeError:
-        rhos = None
-    if rhos is None or not all(map(_is_real, rhos)):
-        raise ValueError(f"thresholds must be a list of numbers, not {thresholds!r}")
-    rhos = [_real("thresholds", r) for r in rhos]
-    if not rhos:
-        raise ValueError("need at least one threshold")
-    if not all(math.isfinite(rho) and rho > 0 for rho in rhos):
-        raise ValueError("thresholds must be finite and > 0")
-    chunk_size = _integer("chunk_size", chunk_size, 1)
-    candidate_cap = _integer("candidate_cap", candidate_cap, 0)
+    rhos, candidate_cap, chunk_size = _mining_arguments(thresholds, candidate_cap, chunk_size)
     sketch = OrderSketch.from_parameters(epsilon, delta, depth, kind, stream.alphabet_size, seed)
     sketch.extend(stream)
     seen, last = np.unique(stream.letters[::-1], return_index=True)  # last occurrences

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordersketch import EventMapKind, OrderSketch, Stream, word_from_text
+from ordersketch import EventMapKind, OrderSketch, Stream, experiments, word_from_text
 from ordersketch.cli import read_stream_file, write_stream_file
 
 from util import (
@@ -616,6 +616,24 @@ def test_experiment_bad_config_field_is_data_error(tmp_path, name, overrides):
     code, out, err = run_cli(["experiment", name, "--config", str(config)])
     assert code == 2 and out == ""
     assert "data error" in err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"p": 1.5}, "p and q must lie in (0, 1)"),
+    ({"q_values": [0.101, 5.0]}, "p and q must lie in (0, 1)"),
+    ({"epsilon": 2}, "need 0 < epsilon <= 1"),
+    ({"delta": 1}, "need 0 < delta < 1"),
+    ({"rho": -1}, "thresholds must be finite and > 0"),
+    ({"l2": -1}, "l2 must be finite and >= 0, not -1.0"),
+])
+def test_table2_refuses_a_bad_range_before_any_mining(tmp_path, monkeypatch, overrides, message):
+    # each value is refused by the site that reads it, and the config runs that site's check
+    mined = []
+    monkeypatch.setattr(experiments, "mine_heavy_patterns", lambda *args, **kw: mined.append(args))
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(overrides))
+    code, out, err = run_cli(["experiment", "table2", "--config", str(config)])
+    assert (code, out, err, mined) == (2, "", f"ordersketch: data error: {message}\n", [])
 
 
 # -- global behaviour --------------------------------------------------------------

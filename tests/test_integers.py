@@ -189,8 +189,8 @@ def test_configs_store_their_grids_as_tuples_of_python_numbers():
     one = ExperimentOneConfig(bucket_counts=[np.int64(4), 8], hash_counts=[np.int32(2)])
     assert one.bucket_counts == (4, 8) and one.hash_counts == (2,)
     assert all(type(b) is int for b in one.bucket_counts + one.hash_counts)
-    two = ExperimentTwoConfig(q_values=[np.float32(0.25), 1])
-    assert two.q_values == (0.25, 1.0) and all(type(q) is float for q in two.q_values)
+    two = ExperimentTwoConfig(q_values=[np.float32(0.25), 0.5])
+    assert two.q_values == (0.25, 0.5) and all(type(q) is float for q in two.q_values)
     for bad in (4, (), [], "4"):
         with pytest.raises(ValueError, match="^bucket_counts must be a non-empty list"):
             ExperimentOneConfig(bucket_counts=bad)

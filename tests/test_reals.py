@@ -72,13 +72,14 @@ SITES = {
     "ExperimentOneConfig heavy_mass": (
         0.25, 1, lambda v: ExperimentOneConfig(heavy_mass=v), lambda c: c.heavy_mass),
     "ExperimentTwoConfig q_values": (
-        0.25, 1, lambda v: ExperimentTwoConfig(q_values=(0.125, v)), lambda c: c.q_values[1]),
+        0.25, None, lambda v: ExperimentTwoConfig(q_values=(0.125, v)), lambda c: c.q_values[1]),
     "ExperimentTwoConfig test_fraction": (
         0.25, None, lambda v: ExperimentTwoConfig(test_fraction=v), lambda c: c.test_fraction),
 }
-for _key, _good in (("p", 0.125), ("epsilon", 0.5), ("delta", 0.25), ("rho", 2.5), ("l2", 0.5)):
+for _key, _good, _whole in (("p", 0.125, None), ("epsilon", 0.5, 1), ("delta", 0.25, None),
+                            ("rho", 2.5, 1), ("l2", 0.5, 1)):
     SITES[f"ExperimentTwoConfig {_key}"] = (
-        _good, 1, lambda v, key=_key: ExperimentTwoConfig(**{key: v}),
+        _good, _whole, lambda v, key=_key: ExperimentTwoConfig(**{key: v}),
         lambda c, key=_key: getattr(c, key))
 
 # a constructor's epsilon or delta of None asks for the default of its table shape

@@ -4,10 +4,10 @@
 line loop for every file that reader rejects or might read differently, so
 its arrays and its error messages must equal the loop's on any file.
 ``build`` and ``exact`` read and fold the file in blocks, the later ones
-parsed by a forked child where two CPUs are free, and on any error rerun the
-whole-file read: their snapshots, records and messages must equal those of
-one fold of the whole stream.  Recorders of the reads write to a file, so
-that they see the child's reads too.
+parsed by a forked child where two CPUs are free, and on any error in the
+body rerun the whole-file read: their snapshots, records and messages must
+equal those of one fold of the whole stream.  Recorders of the reads write
+to a file, so that they see the child's reads too.
 """
 
 import json
@@ -89,7 +89,7 @@ def test_reader_matches_the_line_loop(tmp_path, monkeypatch, text):
     want = read_outcome(read_stream_file_by_lines, path)
     assert read_outcome(read_stream_file, path) == want
     with open(path, encoding="ascii") as fh:
-        numpy_reads_it = cli._parse_with_numpy(str(path), fh) is not None and want[0] != "error"
+        numpy_reads_it = want[0] != "error" and cli._parse_with_numpy(str(path), fh) is not None
     reads = record_reads(monkeypatch, tmp_path)
     for rows in (1, 2, 3):
         reads.clear()
@@ -328,6 +328,72 @@ def test_build_memory_does_not_grow_with_the_stream(tmp_path):
         write_events(path, np.ones(size), rng.integers(0, 1000, size), 1000)
         peaks.append(traced_peak(run_cli, ["build", str(path), str(tmp_path / "s.snap")]))
     assert size > 2 * BLOCK and abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+def record_body_reads(monkeypatch, tmp_path) -> FileLog:
+    """Route every reader of a stream file's body through a recorder of its
+    name: the body scan, numpy's reader and the line loop."""
+    reads = FileLog(tmp_path)
+    for name in ("_numpy_body", "_numpy_rows", "_parse_lines"):
+        def recorded(*args, name=name, read=getattr(cli, name)):
+            reads.append(name)
+            return read(*args)
+
+        monkeypatch.setattr(cli, name, recorded)
+    return reads
+
+
+def test_a_check_that_needs_no_body_reads_no_body_line(tmp_path, monkeypatch):
+    # flags, caps, tables and the header are all checked before the body
+    size, alphabet_size = 300_000, 10**6
+    rng = np.random.Generator(np.random.PCG64(36))
+    path, bad_header, snap = tmp_path / "s.events", tmp_path / "h.events", tmp_path / "s.snap"
+    write_events(path, rng.exponential(1.0, size), rng.integers(0, 5, size), alphabet_size)
+    text = path.read_bytes()
+    bad_header.write_bytes(b"alphabet_size=abc" + text[text.index(b"\n"):])
+    coords = 1 + alphabet_size + alphabet_size**2
+    usage, guard = "ordersketch: usage error: ", "ordersketch: resource guard: "
+    cases = [
+        (["build", path, snap, "--epsilon", "2"], 1, f"{usage}need 0 < epsilon <= 1\n"),
+        (["exact", path], 3, f"{guard}refusing exact run: {coords} coordinates (~{coords * 8} bytes)"
+                             " exceed the cap of 2000000; raise --max-coordinates to override\n"),
+        (["heavy", path, "--rho", "-1"], 1, f"{usage}thresholds must be finite and > 0\n"),
+        # a table too large to allocate: over 7 TiB at level 2
+        (["build", path, snap, "--epsilon", "2e-6", "--depth", "3"], 3, f"{guard}out of memory: "),
+        (["exact", path, "--depth", "3", "--max-coordinates", str(10**19)], 3,
+         f"{guard}out of memory: "),
+    ]
+    header = f"ordersketch: data error: {bad_header}:1: malformed alphabet size\n"
+    for command, rest in (("build", [snap]), ("exact", []), ("heavy", ["--rho", "1"])):
+        cases.append(([command, bad_header, *rest], 2, header))
+    assert size > 2 * BLOCK
+    reads = record_body_reads(monkeypatch, tmp_path)
+    for args, code, err in cases:
+        outcome = []
+        peak = traced_peak(lambda: outcome.append(run_cli([str(a) for a in args])))
+        got_code, out, got_err = outcome[0]
+        assert (got_code, out, reads(), snap.exists()) == (code, "", [], False), args
+        if err.endswith("\n"):
+            assert got_err == err
+        else:  # numpy's own message follows
+            assert got_err.startswith(err) and got_err.count("\n") == 1, got_err
+        if code == 2:  # a whole-file read of the bad header's file peaks at tens of MiB
+            assert peak < 2**20, (args, peak)
+
+
+@pytest.mark.parametrize("body", [b"1.0\t3\n1.0 3\n", b"1.0\t3\n" * 2000 + b"\xa0\t1\n"],
+                         ids=["malformed line", "non-ASCII byte past the header's 8 KiB"])
+def test_a_bad_flag_is_reported_before_a_bad_body(tmp_path, body):
+    # the text layer decodes the header with the file's first 8 KiB, so the
+    # non-ASCII byte lies past them
+    path = tmp_path / "s.events"
+    path.write_bytes(b"alphabet_size=5\n" + body)
+    for args, message in ((["build", str(path), str(tmp_path / "s.snap"), "--epsilon", "2"],
+                           "need 0 < epsilon <= 1"),
+                          (["heavy", str(path), "--rho", "-1"], "thresholds must be finite and > 0")):
+        assert run_cli(args) == (1, "", f"ordersketch: usage error: {message}\n")
+    with pytest.raises(DataError):
+        read_stream_file(str(path))
 
 
 def spy_forks(monkeypatch, allowed: bool) -> list:
