@@ -21,9 +21,10 @@ whole stream.
 When the first block is full, ``os.fork`` exists and the process may run on
 two or more CPUs, a forked child parses the later blocks one block ahead
 while this process folds them in file order, so the output is unchanged;
-the command's memory is then split over two processes.  On Python 3.12 and
-later, ``os.fork`` warns in a process that runs threads (OpenBLAS starts
-some); the child calls no BLAS routine.
+the command's memory is then split over two processes.  ``experiment``
+forks under the same rule (see `ordersketch.experiments`).  On Python 3.12
+and later, ``os.fork`` warns in a process that runs threads (OpenBLAS starts
+some); only the experiment's child calls BLAS, on one thread.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource guard.
 """
@@ -43,6 +44,8 @@ import numpy as np
 from .experiments import (
     ExperimentOneConfig,
     ExperimentTwoConfig,
+    _SIGKILL,
+    _two_cpus,
     run_experiment_1,
     run_experiment_2,
 )
@@ -81,7 +84,6 @@ def _note(message: str) -> None:
 
 
 _EVENT_ROW = np.dtype([("w", "<f8"), ("a", "<i8")])
-_SIGKILL = 9  # fixed by POSIX; the signal module would add a pure-Python import
 # numpy's number parser skips these as spaces; the line loop ends a line at all
 # but the last (str.splitlines), and its float() and int() reject the last
 _NUMPY_ONLY_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
@@ -232,7 +234,7 @@ def _fold_stream_file(path: str, start, fold) -> tuple:
     gives ``(state, rows)``; any exception so far ends the fold.  Then
     ``fold(state, stream)`` takes the body ``rows`` events at a time, each
     block parsed by `read_stream_file`, so the parsed file is never held
-    whole; when the first block is full and `_parse_ahead_runs`, a
+    whole; when the first block is full and `_two_cpus` holds, a
     `_ParseAhead` child parses the later ones.  On any exception in the
     body, a numpy warning raised as one included, the child is stopped, the
     partial state is dropped and the whole file is read, started and folded
@@ -249,7 +251,7 @@ def _fold_stream_file(path: str, start, fold) -> tuple:
                 if lines is not None:
                     next_rows = lambda: _numpy_rows(lines, rows)
                     block = read_stream_file(path, (next_rows, alphabet_size))
-                    if len(block) == rows and _parse_ahead_runs():
+                    if len(block) == rows and _two_cpus():
                         child = _ParseAhead(lines, rows)
                         next_rows = child.next_rows
                     events = 0
@@ -270,17 +272,6 @@ def _fold_stream_file(path: str, start, fold) -> tuple:
     state, _ = start(stream.alphabet_size)
     fold(state, stream)
     return state, len(stream)
-
-
-def _parse_ahead_runs() -> bool:
-    """Whether a parse-ahead child can run beside the fold: ``os.fork``
-    exists and this process may run on two or more CPUs.  On one, the two
-    processes would only take turns, and the build reads slower."""
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
 
 
 class _ParseAhead:

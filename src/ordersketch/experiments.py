@@ -14,13 +14,22 @@ Experiment two classifies two kinds of three-segment streams that differ
 only in the order of their hot letters.  Features are mined per stream with
 the one-pass heavy-pattern search; a logistic model on depth-2 features
 separates the classes while the depth-1 (frequency only) features cannot.
+
+Both harnesses map their independent, seeded sketches through `_fork_map`,
+which computes every other one in a forked child where two CPUs are
+allowed.  The rows are the serial loop's: unit weights make every fold sum
+integers, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
+import os
+import pickle
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from statistics import median
 
@@ -48,6 +57,80 @@ def _grid(rule):
             raise ValueError(f"{name} must be a non-empty list, not {values!r}")
         return tuple(rule(name, v, **bounds) for v in values)
     return check
+
+
+# -- two-process map ---------------------------------------------------------
+
+_SIGKILL = 9  # fixed by POSIX; the signal module would add a pure-Python import
+
+
+def _two_cpus() -> bool:
+    """Whether a forked child can run beside this process: ``os.fork``
+    exists and this process may run on two or more CPUs.  On one, the two
+    processes would only take turns."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    except (OSError, StopIteration, AttributeError):
+        return None
+
+
+def _fork_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, the odd-indexed items computed in a forked
+    child that pickles its results to a pipe (its other effects stay in it),
+    with OpenBLAS on one thread in both processes.  A failed child (a non-zero
+    exit, a short pickle) reruns every item here, and a raise here kills the
+    child; without the BLAS limit, ``os.fork`` or a second CPU, the plain
+    loop runs."""
+    blas = _blas_threads() if len(items) > 1 and _two_cpus() else None
+    if blas is None:
+        return [fn(x) for x in items]
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)  # two processes that each spin two BLAS threads run slower than one
+    try:
+        read, write = os.pipe()
+        with open(read, "rb") as sent, open(write, "wb") as out:
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    pickle.dump([fn(x) for x in items[1::2]], out)
+                    out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            out.close()
+            try:
+                even = [fn(x) for x in items[::2]]
+                data = sent.read()
+            except BaseException:
+                os.kill(pid, _SIGKILL)
+                raise
+            finally:
+                status = os.waitpid(pid, 0)[1]
+    finally:
+        set_threads(threads)
+    results = [None] * len(items)
+    results[::2] = even
+    try:  # a failed child fills no slot, and a short pickle or list raises
+        results[1::2] = pickle.loads(data) if status == 0 else ()
+    except (pickle.UnpicklingError, EOFError, ValueError):
+        return [fn(x) for x in items]
+    return results
 
 
 # -- generators --------------------------------------------------------------
@@ -353,14 +436,12 @@ def run_experiment_1(config: ExperimentOneConfig) -> list:
         errors, rates, ratios = zip(*reps)
         return ExperimentOneRow(bucket_count, hash_count, ratios[0], median(errors), median(rates))
 
-    rows = []
-    for b in config.bucket_counts:
-        per_rep = [
-            measure(sample_hashes(HashFamilySpec(config.alphabet_size, b, s),
-                                  max(config.hash_counts)), config.hash_counts)
-            for s in rep_seeds
-        ]
-        rows += [row(b, r, reps) for r, reps in zip(config.hash_counts, zip(*per_rep))]
+    per_rep = _fork_map(lambda cell: measure(sample_hashes(
+        HashFamilySpec(config.alphabet_size, *cell), max(config.hash_counts)), config.hash_counts),
+        [(b, s) for b in config.bucket_counts for s in rep_seeds])
+    n = len(rep_seeds)
+    rows = [row(b, r, reps) for i, b in enumerate(config.bucket_counts)
+            for r, reps in zip(config.hash_counts, zip(*per_rep[i * n:(i + 1) * n]))]
     if config.include_identity_row:
         p = smallest_prime_geq(max(config.alphabet_size, 2))
         rows.append(row(config.alphabet_size, 1,
@@ -416,67 +497,44 @@ class ExperimentTwoRow:
     accuracy_by_depth: dict  # depth -> mean held-out accuracy
 
 
-def _split_accuracies(
-    features: np.ndarray, labels: np.ndarray, config: ExperimentTwoConfig, seed: int
+def _split_accuracy(
+    features: np.ndarray, labels: np.ndarray, config: ExperimentTwoConfig, seed: int, split: int
 ) -> float:
-    """Mean held-out accuracy over stratified shuffled splits."""
-    total = len(labels)
-    accs = []
-    for split in range(config.splits):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, split)))
-        test_idx = []
-        for cls in (0, 1):
-            members = np.flatnonzero(labels == cls)
-            members = members[rng.permutation(members.size)]
-            test_idx.append(members[: max(1, int(round(members.size * config.test_fraction)))])
-        test_mask = np.zeros(total, dtype=bool)
-        test_mask[np.concatenate(test_idx)] = True
-        model = train_linear_classifier(
-            features[~test_mask],
-            labels[~test_mask],
-            l2=config.l2,
-            epochs=config.epochs,
-        )
-        accs.append(model.accuracy(features[test_mask], labels[test_mask]))
-    return float(np.mean(accs))
+    """Held-out accuracy on stratified shuffled split number ``split``."""
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, split)))
+    test_idx = []
+    for cls in (0, 1):
+        members = np.flatnonzero(labels == cls)
+        members = members[rng.permutation(members.size)]
+        test_idx.append(members[: max(1, int(round(members.size * config.test_fraction)))])
+    test_mask = np.zeros(len(labels), dtype=bool)
+    test_mask[np.concatenate(test_idx)] = True
+    model = train_linear_classifier(features[~test_mask], labels[~test_mask], l2=config.l2,
+                                    epochs=config.epochs)
+    return model.accuracy(features[test_mask], labels[test_mask])
 
 
 def run_experiment_2(config: ExperimentTwoConfig) -> list:
     """One row per q: mine per-stream heavy-pattern features, then report
     mean held-out accuracy of a logistic model per feature depth 1..depth."""
+    def mine(qi: int, q: float, ci: int, i: int) -> tuple:
+        # (sketch, hot letters, class) of stream i of class ci at q
+        seed = derive_seed(config.base_seed, ((qi * 2 + ci) << 24) | i)
+        stream = gen_markov_stream(MarkovExperimentConfig(
+            alphabet_size=config.alphabet_size, total_length=config.total_length, p=config.p,
+            q=q, stream_class=(StreamClass.TYPE_A, StreamClass.TYPE_B)[ci], seed=seed))
+        sketch, mined = mine_heavy_patterns(
+            stream, [config.rho], config.epsilon, config.delta, config.depth, config.kind,
+            seed=derive_seed(seed, 1), candidate_cap=config.candidate_cap,
+            chunk_size=config.chunk_size)
+        return sketch, mined[config.rho].hot_letters, ci
+
     rows = []
     for qi, q in enumerate(config.q_values):
-        sketches = []
-        labels = []
-        letter_votes: dict = {}
-        for ci, cls in enumerate((StreamClass.TYPE_A, StreamClass.TYPE_B)):
-            for i in range(config.streams_per_class):
-                seed = derive_seed(config.base_seed, ((qi * 2 + ci) << 24) | i)
-                stream = gen_markov_stream(
-                    MarkovExperimentConfig(
-                        alphabet_size=config.alphabet_size,
-                        total_length=config.total_length,
-                        p=config.p,
-                        q=q,
-                        stream_class=cls,
-                        seed=seed,
-                    )
-                )
-                sketch, mined = mine_heavy_patterns(
-                    stream,
-                    [config.rho],
-                    config.epsilon,
-                    config.delta,
-                    config.depth,
-                    config.kind,
-                    seed=derive_seed(seed, 1),
-                    candidate_cap=config.candidate_cap,
-                    chunk_size=config.chunk_size,
-                )
-                for letter in mined[config.rho].hot_letters:
-                    letter_votes[letter] = letter_votes.get(letter, 0) + 1
-                sketches.append(sketch)
-                labels.append(ci)
+        sketches, hot, labels = zip(*_fork_map(
+            lambda job: mine(qi, q, *job),
+            [(ci, i) for ci in (0, 1) for i in range(config.streams_per_class)]))
+        letter_votes = Counter(a for stream_hot in hot for a in stream_hot)
         labels = np.array(labels, dtype=np.int64)
 
         quorum = len(sketches) / 2
@@ -492,11 +550,15 @@ def run_experiment_2(config: ExperimentTwoConfig) -> list:
                     for sk in sketches
                 ]
             )
-            for m in range(1, config.depth + 1):
-                width = sum(len(letters) ** j for j in range(1, m + 1))
-                accuracy_by_depth[m] = _split_accuracies(
-                    features[:, :width], labels, config, derive_seed(config.base_seed, 7_000 + qi)
-                )
+            seed, depths = derive_seed(config.base_seed, 7_000 + qi), range(1, config.depth + 1)
+            # one fit per (depth, split) on the words of length up to that depth
+            accuracies = _fork_map(lambda job: _split_accuracy(
+                features[:, :sum(len(letters) ** j for j in range(1, job[0] + 1))],
+                labels, config, seed, job[1],
+            ), [(m, split) for m in depths for split in range(config.splits)])
+            for m in depths:
+                accuracy_by_depth[m] = float(np.mean(
+                    accuracies[(m - 1) * config.splits:m * config.splits]))
         rows.append(
             ExperimentTwoRow(
                 q=q,

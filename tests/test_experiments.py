@@ -1,5 +1,10 @@
+import ctypes
 import hashlib
+import json
 import math
+import os
+import pickle
+import time
 from statistics import median
 
 import numpy as np
@@ -29,7 +34,7 @@ from ordersketch.experiments import (
     train_linear_classifier,
 )
 
-from util import stream_features
+from util import FileLog, run_cli, stream_features
 
 
 # -- stream generators ---------------------------------------------------------
@@ -409,14 +414,14 @@ def test_experiment_one_rows_equal_a_fold_per_cell():
     assert rows[-1].median_error == 0.0
 
 
-def test_study_table1_folds_each_drawn_table_once(monkeypatch):
+def test_study_table1_folds_each_drawn_table_once(monkeypatch, tmp_path):
     # the study benchmark's table1 shape: one exact fold, then one fold per
     # table of the largest draw per bucket count (1 + 4 * 8), not per cell
-    # (1 + 4 * (2 + 4 + 8))
-    folds = []
+    # (1 + 4 * (2 + 4 + 8)); a file counts the folds of a forked child too
+    log = FileLog(tmp_path)
 
     def counted(*args):
-        folds.append(len(args[0]))
+        log.append(len(args[0]))
         return features_from_arrays(*args)
 
     monkeypatch.setattr(experiments, "features_from_arrays", counted)
@@ -427,4 +432,166 @@ def test_study_table1_folds_each_drawn_table_once(monkeypatch):
         repetitions=1,
     )
     assert len(run_experiment_1(cfg)) == 12
+    folds = [int(n) for n in log()]
     assert folds == [100_000] * 33
+
+
+# -- the two-process map -----------------------------------------------------
+
+# the study benchmark's configs, and small ones whose table2 finds feature letters
+STUDY = {
+    "table1": {"alphabet_size": 100, "length": 100_000, "heavy_count": 10, "heavy_mass": 0.1,
+               "depth": 2, "kind": "exp", "bucket_counts": [4, 8, 16, 32],
+               "hash_counts": [2, 4, 8], "repetitions": 1},
+    "table2": {"alphabet_size": 1000, "total_length": 10_000, "p": 0.1, "q_values": [0.13],
+               "streams_per_class": 20, "depth": 2, "kind": "exp"},
+}
+SMALL = {
+    "table1": {"alphabet_size": 20, "length": 2000, "heavy_count": 4, "heavy_mass": 0.2,
+               "bucket_counts": [4, 8], "hash_counts": [2, 4], "repetitions": 3},
+    "table2": {"alphabet_size": 200, "total_length": 2000, "p": 0.1, "q_values": [0.2, 0.15],
+               "streams_per_class": 6, "rho": 40.0, "splits": 2, "epochs": 150,
+               "chunk_size": 512},
+}
+
+
+@pytest.fixture
+def blas():
+    """The OpenBLAS thread-count getter and setter the map limits; without
+    them the map never forks, and a test of its parallel path is moot."""
+    found = experiments._blas_threads()
+    if found is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found, so the map runs serially")
+    return found
+
+
+def allow(monkeypatch, path) -> None:
+    """Force the map's path: "serial" without ``os.fork``, else ``path`` allowed CPUs."""
+    if path == "serial":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(path)), raising=False)
+
+
+def spy_forks(monkeypatch) -> list:
+    """Record each `os.fork` call made in this process."""
+    forks, fork = [], os.fork
+
+    def recorded():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def table1_cells(rows) -> list:
+    # every field but the throughput, which each process times for itself
+    return [(r.bucket_count, r.hash_count, r.memory_ratio, r.median_error) for r in rows]
+
+
+@pytest.mark.parametrize("configs", [STUDY, SMALL], ids=["study", "small"])
+@pytest.mark.parametrize("table", ["table1", "table2"])
+def test_the_tables_print_the_same_bytes_on_every_path(tmp_path, monkeypatch, blas, configs,
+                                                         table):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(configs[table]))
+    outputs = {}
+    for way in ("serial", 1, 2):
+        with monkeypatch.context() as m:
+            allow(m, way)
+            forks = spy_forks(m) if way != "serial" else []
+            code, out, _ = run_cli(["experiment", table, "--config", str(path), "--seed", "1"])
+        assert code == 0 and bool(forks) == (way == 2)
+        outputs[way] = out
+    assert outputs["serial"] == outputs[1] == outputs[2]
+    if table == "table2":
+        assert '"feature_letters":[1,2]' in outputs[2]
+
+
+@pytest.mark.parametrize("cpus, symbol, forked", [(2, True, True), (1, True, False),
+                                                  (2, False, False)],
+                         ids=["two cpus", "one cpu", "no blas symbol"])
+def test_one_fork_per_map_on_two_cpus_only(monkeypatch, blas, cpus, symbol, forked):
+    allow(monkeypatch, cpus)
+    if not symbol:
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    forks, maps, fork_map = spy_forks(monkeypatch), [], experiments._fork_map
+
+    def counted(fn, items):
+        maps.append(len(items))
+        return fork_map(fn, items)
+
+    monkeypatch.setattr(experiments, "_fork_map", counted)
+    run_experiment_1(ExperimentOneConfig(**SMALL["table1"]))
+    run_experiment_2(ExperimentTwoConfig(**SMALL["table2"]))
+    assert maps and min(maps) > 1
+    assert len(forks) == len(maps) * forked
+
+
+def test_blas_runs_on_one_thread_in_both_processes(monkeypatch, blas):
+    get_threads, set_threads = blas
+    allow(monkeypatch, 2)
+    threads = get_threads()
+    set_threads(2)
+    try:
+        got = experiments._fork_map(lambda x: (x, os.getpid(), get_threads()), range(5))
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+    assert [x for x, _, _ in got] == list(range(5))
+    assert {pid for _, pid, _ in got[::2]} == {os.getpid()}
+    assert len({pid for _, pid, _ in got[1::2]} - {os.getpid()}) == 1
+    assert [n for _, _, n in got] == [1] * 5
+
+
+@pytest.mark.parametrize("failure", ["non-zero exit", "short pickle"])
+def test_a_failed_child_gives_the_serial_rows(monkeypatch, blas, failure):
+    cfg = ExperimentOneConfig(**SMALL["table1"])
+    with monkeypatch.context() as m:
+        allow(m, "serial")
+        want = table1_cells(run_experiment_1(cfg))
+    allow(monkeypatch, 2)
+    parent = os.getpid()
+    if failure == "non-zero exit":
+        pullback = experiments.dense_pullback
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("a failure in the child")
+            return pullback(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "dense_pullback", failing)
+    else:
+        monkeypatch.setattr(pickle, "dump", lambda obj, fh: fh.write(pickle.dumps(obj)[:-1]))
+    forks = spy_forks(monkeypatch)
+    assert table1_cells(run_experiment_1(cfg)) == want
+    assert len(forks) == 1
+
+
+def test_an_exception_in_the_parents_share_kills_the_child(monkeypatch, blas):
+    # the child would sleep for a minute, so only a kill lets the map end at once;
+    # the conftest fixture checks that it was reaped
+    get_threads, set_threads = blas
+    allow(monkeypatch, 2)
+    forks, parent, seen = spy_forks(monkeypatch), os.getpid(), []
+
+    def fn(x):
+        if os.getpid() != parent:
+            time.sleep(60)
+        seen.append(get_threads())
+        if x == 2:
+            raise ValueError("the parent's share fails")
+        return x
+
+    threads = get_threads()
+    set_threads(2)
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="the parent's share fails"):
+            experiments._fork_map(fn, range(6))
+        assert time.perf_counter() - t0 < 30
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+    assert len(forks) == 1 and seen == [1, 1]

@@ -12,7 +12,6 @@ to a file, so that they see the child's reads too.
 
 import json
 import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -23,7 +22,8 @@ from hypothesis import strategies as st
 from ordersketch import GradedTensor, OrderSketch, Stream, cli, features_from_arrays
 from ordersketch.cli import DataError, read_stream_file
 
-from util import parse_records, read_stream_file_by_lines, run_cli, split_snapshot, traced_peak
+from util import (FileLog, parse_records, read_stream_file_by_lines, run_cli, split_snapshot,
+                  traced_peak)
 
 # tokens either reader may accept, reject, or read differently
 WEIGHT_TOKENS = ["1", "2.5", "0", "-0", ".5", "7.", "1e3", "+5", " 5 ", "5.0", "1_0", "0x1p3",
@@ -98,24 +98,18 @@ def test_reader_matches_the_line_loop(tmp_path, monkeypatch, text):
             assert reads() == ["block"] * (len(want[1]) // rows + 1)
 
 
-class FileLog:
-    """A list of lines kept in a new file under ``directory``, which a
-    forked child appends to as well; calling it gives the lines."""
-
-    def __init__(self, directory):
-        fd, self.path = tempfile.mkstemp(suffix=".log", dir=directory)
-        os.close(fd)
-
-    def append(self, entry) -> None:
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(f"{entry}\n")
-
-    def clear(self) -> None:
-        open(self.path, "w").close()
-
-    def __call__(self) -> list:
-        with open(self.path, encoding="ascii") as fh:
-            return fh.read().splitlines()
+@pytest.mark.parametrize("header, message", [
+    (b"alphabet_size=x", ":1: malformed alphabet size"),
+    (b"alphabet=5", ":1: expected header alphabet_size=N"),
+    (b"alphabet_size=5", ": not ASCII text"),
+])
+def test_the_line_loop_checks_the_header_before_a_late_non_ascii_byte(tmp_path, header, message):
+    # the byte lies past the first 8 KiB, which the text layer decodes with the header
+    path = tmp_path / "late.events"
+    path.write_bytes(header + b"\n" + b"1.0\t3\n" * 2000 + b"\xa0\t1\n")
+    want = read_outcome(read_stream_file_by_lines, path)
+    assert want == ("error", f"{path}{message}")
+    assert read_outcome(read_stream_file, path) == want
 
 
 def record_reads(monkeypatch, tmp_path) -> FileLog:

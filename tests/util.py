@@ -1,11 +1,14 @@
-"""Shared test helpers: random streams, independent reference oracles, and
-an in-process CLI runner, and a memory probe."""
+"""Shared test helpers: random streams, independent reference oracles, an
+in-process CLI runner, a memory probe, and a log that forked children append
+to."""
 
 from __future__ import annotations
 
 import io
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, combinations_with_replacement
@@ -263,22 +266,24 @@ def expand_by_positions(u: tuple, v: tuple, infiltration: bool) -> dict:
 def read_stream_file_by_lines(path: str) -> Stream:
     """The stream-file reader as a plain line loop: the reference that
     ``ordersketch.cli.read_stream_file`` must match bit for bit, message for
-    message."""
+    message.  The header line is read and checked before the body."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            head = fh.readline()
+            header = (head.splitlines() or [""])[0]
+            if not header.startswith("alphabet_size="):
+                raise DataError(f"{path}:1: expected header alphabet_size=N")
+            try:
+                alphabet_size = int(header.split("=", 1)[1])
+            except ValueError as exc:
+                raise DataError(f"{path}:1: malformed alphabet size") from exc
+            if alphabet_size >= 1 << 61:
+                raise DataError(f"{path}:1: alphabet size must be below 2**61")
+            lines = (head + fh.read()).splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not ASCII text") from exc
     except OSError as exc:
         raise DataError(f"cannot read stream file {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("alphabet_size="):
-        raise DataError(f"{path}:1: expected header alphabet_size=N")
-    try:
-        alphabet_size = int(lines[0].split("=", 1)[1])
-    except ValueError as exc:
-        raise DataError(f"{path}:1: malformed alphabet size") from exc
-    if alphabet_size >= 1 << 61:
-        raise DataError(f"{path}:1: alphabet size must be below 2**61")
     lams, lets = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -295,6 +300,26 @@ def read_stream_file_by_lines(path: str) -> Stream:
         return Stream(np.array(lams), np.array(lets, dtype=object), alphabet_size)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+class FileLog:
+    """A list of lines kept in a new file under ``directory``, which a
+    forked child appends to as well; calling it gives the lines."""
+
+    def __init__(self, directory):
+        fd, self.path = tempfile.mkstemp(suffix=".log", dir=directory)
+        os.close(fd)
+
+    def append(self, entry) -> None:
+        with open(self.path, "a", encoding="ascii") as fh:
+            fh.write(f"{entry}\n")
+
+    def clear(self) -> None:
+        open(self.path, "w").close()
+
+    def __call__(self) -> list:
+        with open(self.path, encoding="ascii") as fh:
+            return fh.read().splitlines()
 
 
 def run_cli(args) -> tuple:
